@@ -25,7 +25,6 @@ from .models import (
 from .training import (
     TrainConfig,
     evaluate_model,
-    predict_heads,
     predict_probs,
     train_model,
     write_confusion_tsv,
@@ -156,8 +155,9 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     features, labels = storage.read_features(args.features)
     graph, _meta = load_model(args.checkpoint)
-    preds = predict_heads(graph, features)
-    probs = predict_probs(graph, features)["global"]
+    head_probs = predict_probs(graph, features)
+    preds = {name: np.argmax(p, axis=1) for name, p in head_probs.items()}
+    probs = head_probs["global"]
     class_names = graph.desc.get("class_names") or [str(i) for i in range(graph.desc["n_classes"])]
     heads = graph.head_names()
     lines = ["index\tlabel\t" + "\t".join(f"pred_{h}" for h in heads) + "\t" + "\t".join(f"p_{c}" for c in class_names)]

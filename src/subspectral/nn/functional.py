@@ -19,55 +19,54 @@ PROB_FLOOR = 1e-12
 
 def _same_padding(k: int) -> tuple[int, int]:
     # extra padding (even kernels) goes on the bottom/right
-    before = (k - 1) // 2
-    return before, k - 1 - before
+    return (k - 1) // 2, k // 2
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, pads_h=None, pads_w=None) -> np.ndarray:
+def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """'Same'-padded columns (C*Kh*Kw, N*H*W); row (c, i, j) matches w.reshape(O, -1)."""
     n, c, h, w = x.shape
-    pads_h = pads_h or _same_padding(kh)
-    pads_w = pads_w or _same_padding(kw)
-    padded = np.pad(x, ((0, 0), (0, 0), pads_h, pads_w))
-    patches = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    # (N, C, H, W, Kh, Kw) -> (N*H*W, C*Kh*Kw)
-    return np.ascontiguousarray(patches.transpose(0, 2, 3, 1, 4, 5)).reshape(n * h * w, c * kh * kw)
+    padded = np.pad(x, ((0, 0), (0, 0), _same_padding(kh), _same_padding(kw)))
+    cols = np.empty((c, kh, kw, n, h, w), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = padded[:, :, i : i + h, j : j + w].transpose(1, 0, 2, 3)
+    return cols.reshape(c * kh * kw, n * h * w)
 
 
 def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """'Same'-padded 2-D cross-correlation: (N,C,H,W) -> (N,O,H,W)."""
+    """'Same'-padded 2-D cross-correlation: (N,C,H,W) -> C-contiguous (N,O,H,W)."""
     n, c, h, wd = x.shape
     o, cw, kh, kw = w.shape
     if c != cw:
         raise ValueError(f"input has {c} channels but kernels expect {cw}")
-    cols = _im2col(x, kh, kw)
-    out = cols @ w.reshape(o, -1).T + b.astype(x.dtype)
-    return out.reshape(n, h, wd, o).transpose(0, 3, 1, 2).astype(x.dtype, copy=False)
+    out = w.reshape(o, -1) @ _im2col(x, kh, kw)
+    out += b[:, None]
+    return np.ascontiguousarray(out.reshape(o, n, h, wd).transpose(1, 0, 2, 3), dtype=x.dtype)
 
 
 def conv2d_same_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, need_dx: bool = True):
     """Gradients (dx, dw, db) for conv2d_same.
 
-    dx is the transposed convolution, computed as a second im2col GEMM
-    against the spatially flipped, channel-transposed kernels (with the
-    before/after padding amounts swapped, which matters for even kernel
-    sizes). Pass need_dx=False at the first layer of a network, where the
-    input gradient would be the most expensive tensor of the whole
-    backward pass and nobody consumes it.
+    With dy channel-major as dyr (O, N*H*W) and cols rebuilt from x,
+    dw = (cols @ dyr.T).T, the orientation that ran fastest on one BLAS
+    thread. dx is col2im: w.T @ dyr is added back, one slice per kernel
+    offset, into a zero-padded buffer whose interior is the C-contiguous
+    dx. need_dx=False skips dx (at a first layer, where nobody reads it).
     """
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
-    dyr = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(n * h * wd, o)
-    db = dyr.sum(axis=0, dtype=np.float64).astype(w.dtype)
-    cols = _im2col(x, kh, kw)
-    dw = (dyr.T @ cols).reshape(o, c, kh, kw).astype(w.dtype, copy=False)
+    dyr = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(o, n * h * wd)
+    db = dyr.sum(axis=1, dtype=np.float64).astype(w.dtype)
+    dw = (_im2col(x, kh, kw) @ dyr.T).T.reshape(w.shape).astype(w.dtype, copy=False)
     if not need_dx:
         return None, dw, db
-    pt, pb = _same_padding(kh)
-    pl, pr = _same_padding(kw)
-    dy_cols = _im2col(dy, kh, kw, pads_h=(pb, pt), pads_w=(pr, pl))
-    w_back = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c, o * kh * kw)
-    dx = (dy_cols @ w_back.T).reshape(n, h, wd, c).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(dx, dtype=x.dtype), dw, db
+    dcols = (w.reshape(o, -1).T @ dyr).reshape(c, kh, kw, n, h, wd)
+    dpad = np.zeros((n, c, h + kh - 1, wd + kw - 1), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dpad[:, :, i : i + h, j : j + wd] += dcols[:, i, j].transpose(1, 0, 2, 3)
+    (pt, _), (pl, _) = _same_padding(kh), _same_padding(kw)
+    return np.ascontiguousarray(dpad[:, :, pt : pt + h, pl : pl + wd]), dw, db
 
 
 def maxpool2d(x: np.ndarray, pool_h: int, pool_w: int):

@@ -314,7 +314,7 @@ class Sequential:
 
     def backward(self, dy, input_grad=True):
         """input_grad=False skips the input gradient at a leading conv
-        layer (trunks during training; the costliest dx nobody reads)."""
+        layer (trunks during training, where nobody reads that dx)."""
         for i, layer in enumerate(reversed(self.layers)):
             if i == len(self.layers) - 1 and isinstance(layer, Conv2dSame):
                 return layer.backward(dy, input_grad=input_grad)

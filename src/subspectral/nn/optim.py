@@ -28,13 +28,17 @@ class ParamStore:
 
 
 def adam_step(store: ParamStore, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-7) -> None:
-    """Bias-corrected Adam update over every parameter in the store."""
+    """Bias-corrected Adam update over every parameter in the store.
+
+    A non-finite gradient anywhere rejects the whole step before any
+    parameter or moment changes."""
+    for p in store.params:
+        if not np.isfinite(p.grad).all():
+            raise RuntimeError(f"non-finite gradient in parameter {p.name!r}")
     store.step_count += 1
     t = store.step_count
     for p in store.params:
         g = p.grad
-        if np.isnan(g).any():
-            raise RuntimeError(f"NaN gradient in parameter {p.name!r}")
         m = store.first_moment[p.name]
         v = store.second_moment[p.name]
         m[...] = beta1 * m + (1 - beta1) * g

@@ -145,14 +145,21 @@ def read_checkpoint(path) -> tuple[dict, dict, dict]:
     blob = Path(path).read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ContainerError(f"{path}: bad magic {blob[:4]!r}")
-    header_len = struct.unpack("<I", blob[4:8])[0]
-    header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
+    header_len = int.from_bytes(blob[4:8], "little")
+    if 8 + header_len > len(blob):
+        raise ContainerError(f"{path}: header length {header_len} runs past the end of the file")
+    try:
+        header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ContainerError(f"{path}: malformed header: {exc}") from exc
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise ContainerError(f"{path}: unsupported checkpoint version")
     pos = 8 + header_len
     tensors = {}
     for entry in header["tensors"]:
         count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+        if pos + count * 4 > len(blob):
+            raise ContainerError(f"{path}: tensor {entry['name']!r} runs past the end of the file")
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos).reshape(entry["shape"])
         tensors[entry["name"]] = arr.copy()
         pos += count * 4

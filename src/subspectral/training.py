@@ -110,23 +110,19 @@ def build_model(
     )
 
 
-def predict_heads(graph: ModelGraph, features: np.ndarray, batch: int = 64) -> dict[str, np.ndarray]:
-    """Eval-mode head predictions (class ids) over a feature tensor."""
-    preds: dict[str, list] = {name: [] for name in graph.head_names()}
-    for lo in range(0, features.shape[0], batch):
-        out = graph.forward(features[lo : lo + batch], train=False)
-        for name, probs in out.items():
-            preds[name].append(np.argmax(probs, axis=1))
-    return {name: np.concatenate(chunks) for name, chunks in preds.items()}
-
-
 def predict_probs(graph: ModelGraph, features: np.ndarray, batch: int = 64) -> dict[str, np.ndarray]:
+    """Eval-mode class probabilities per head over a feature tensor."""
     out: dict[str, list] = {name: [] for name in graph.head_names()}
     for lo in range(0, features.shape[0], batch):
         probs = graph.forward(features[lo : lo + batch], train=False)
         for name, p in probs.items():
             out[name].append(p)
     return {name: np.concatenate(chunks, axis=0) for name, chunks in out.items()}
+
+
+def predict_heads(graph: ModelGraph, features: np.ndarray, batch: int = 64) -> dict[str, np.ndarray]:
+    """Eval-mode head predictions (class ids): the argmax of predict_probs."""
+    return {name: np.argmax(p, axis=1) for name, p in predict_probs(graph, features, batch).items()}
 
 
 def evaluate_model(graph: ModelGraph, features: np.ndarray, labels: np.ndarray, batch: int = 64) -> EvalReport:
@@ -173,8 +169,8 @@ def train_model(
 ) -> TrainResult:
     """Minibatch Adam over the multi-head loss, repeated cfg.repeats times.
 
-    Aborts with run/epoch/batch context if the loss goes NaN. Training is
-    bit-reproducible for a fixed seed in single-threaded mode.
+    Aborts with run/epoch/batch context if the loss is NaN or infinite.
+    Training is bit-reproducible for a fixed seed in single-threaded mode.
     """
     if train_x.shape[0] == 0 or test_x.shape[0] == 0:
         raise ValueError("both train and test splits must be non-empty")
@@ -201,8 +197,9 @@ def train_model(
                 idx = order[lo : lo + cfg.batch_size]
                 probs = graph.forward(train_x[idx], train=True)
                 loss, dprobs = multi_head_loss(probs, train_y[idx], loss_heads)
-                if math.isnan(loss):
-                    raise RuntimeError(f"NaN loss at run {run}, epoch {epoch}, batch {n_batches}")
+                if not math.isfinite(loss):
+                    bad = "NaN" if math.isnan(loss) else loss
+                    raise RuntimeError(f"{bad} loss at run {run}, epoch {epoch}, batch {n_batches}")
                 store.zero_grad()
                 graph.backward(dprobs)
                 adam_step(store, lr=cfg.lr)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from subspectral.nn import functional as F
+from subspectral.nn.gradcheck import grad_check
 from subspectral.nn.layers import Dense, Parameter
 from subspectral.nn.optim import ParamStore, adam_step
 from subspectral.seeding import philox_rng
@@ -69,6 +70,29 @@ class TestConv:
         x = np.zeros((1, 1) + hw)
         y = F.conv2d_same(x, np.zeros((1, 1, 7, 7)), np.zeros(1))
         assert y.shape == x.shape
+
+
+class TestConvGradients:
+    @pytest.mark.parametrize("kernel", [(2, 4), (4, 2), (2, 2)])
+    def test_even_kernels_match_central_differences(self, kernel):
+        rng = np.random.default_rng(sum(kernel))
+        x = rng.standard_normal((2, 3, 5, 6))
+        w = rng.standard_normal((4, 3) + kernel) * 0.3
+        b = rng.standard_normal(4) * 0.1
+        r = rng.standard_normal((2, 4, 5, 6))
+        dx, dw, db = F.conv2d_same_backward(r, x, w)
+        targets = [("x", x, dx), ("w", w, dw), ("b", b, db)]
+        report = grad_check(lambda: float(np.sum(F.conv2d_same(x, w, b) * r)), targets, 1e-7, coords_per_target=12, rng=rng)
+        assert report.passed, report.worst
+
+    def test_outputs_are_c_contiguous(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((3, 2, 6, 9)).astype(np.float32)
+        w = rng.standard_normal((5, 2, 7, 7)).astype(np.float32)
+        y = F.conv2d_same(x, w, np.zeros(5, dtype=np.float32))
+        dx, _, _ = F.conv2d_same_backward(np.ones_like(y), x, w)
+        assert y.flags.c_contiguous and dx.flags.c_contiguous
+        assert y.dtype == dx.dtype == np.float32
 
 
 class TestMaxPool:
@@ -237,6 +261,16 @@ class TestAdam:
         p.grad[...] = np.nan
         with pytest.raises(RuntimeError, match="branch.conv.weight"):
             adam_step(store)
+
+    def test_inf_gradient_aborts_with_name_and_leaves_every_weight(self):
+        a = Parameter("sub0.conv1.bias", np.array([0.25]))
+        p = Parameter("sub0.conv1.weight", np.array([0.5]))
+        store = ParamStore([a, p])
+        a.grad[...] = 1.0
+        p.grad[...] = np.inf
+        with pytest.raises(RuntimeError, match="non-finite gradient in parameter 'sub0.conv1.weight'"):
+            adam_step(store)
+        assert a.data[0] == 0.25 and p.data[0] == 0.5 and store.step_count == 0
 
     def test_matches_reference_formula(self):
         rng = np.random.default_rng(8)

@@ -1,5 +1,6 @@
 """Binary container format tests: layout bytes, round trips, errors."""
 
+import re
 import struct
 
 import numpy as np
@@ -132,4 +133,30 @@ class TestCheckpoint:
         path = tmp_path / "m.ssnw"
         path.write_bytes(b"XXXX" + b"\x00" * 10)
         with pytest.raises(ContainerError, match="magic"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "truncated_tensor_data",
+            "header_len_past_end",
+            "bit_flipped_header",
+            "header_cut_short",
+        ],
+    )
+    def test_malformed_file_raises_container_error(self, tmp_path, rng, damage):
+        path = tmp_path / "m.ssnw"
+        write_checkpoint(path, {"kind": "baseline"}, [("w", "param", rng.standard_normal((3, 4)).astype(np.float32))])
+        blob = bytearray(path.read_bytes())
+        header_len = struct.unpack("<I", blob[4:8])[0]
+        if damage == "truncated_tensor_data":
+            blob = blob[:-5]
+        elif damage == "header_len_past_end":
+            blob[4:8] = struct.pack("<I", len(blob))
+        elif damage == "bit_flipped_header":
+            blob[8] ^= 0x80  # '{' becomes a byte that is not valid utf-8
+        else:
+            blob[4:8] = struct.pack("<I", header_len - 7)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContainerError, match=re.escape(str(path))):
             read_checkpoint(path)

@@ -71,6 +71,17 @@ class TestTrainLoop:
         with pytest.raises(RuntimeError, match="NaN loss at run 0, epoch 0, batch 0"):
             train_model(data["train_x"], data["train_y"], data["test_x"], data["test_y"], small_cfg())
 
+    def test_inf_loss_aborts_with_context(self, data, monkeypatch):
+        from subspectral import training as tr
+
+        def poisoned(head_probs, labels, heads=None):
+            loss, dprobs = multi_head_loss(head_probs, labels, heads)
+            return float("inf"), dprobs
+
+        monkeypatch.setattr(tr, "multi_head_loss", poisoned)
+        with pytest.raises(RuntimeError, match="inf loss at run 0, epoch 0, batch 0"):
+            train_model(data["train_x"], data["train_y"], data["test_x"], data["test_y"], small_cfg())
+
     def test_average_best_is_mean_over_repeats(self, data):
         cfg = small_cfg(epochs=2, repeats=2)
         result = train_model(data["train_x"], data["train_y"], data["test_x"], data["test_y"], cfg)
