@@ -4,7 +4,7 @@
 The published model sizes fall out of the builders exactly: 117,686 for
 the plain CNN (40 mel, stereo), 434,966 doubled, 331,560 for the
 band-split network 40/20/10 with the compat head, 330,570 without the
-per-band softmax heads, and 325,672 with the head rule as printed.
+per-band heads, and 325,672 with the head rule as printed.
 """
 
 import numpy as np

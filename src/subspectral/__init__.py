@@ -30,7 +30,6 @@ from .features import (
     mel_filterbank,
 )
 from .models import (
-    GlobalHeadSpec,
     ModelGraph,
     SubSpectralConfig,
     build_baseline,

@@ -40,7 +40,7 @@ def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--sub-size", type=int, default=20, help="band crop height X")
     p.add_argument("--hop-size", type=int, default=10, help="vertical band hop Y")
     p.add_argument("--head-compat", action="store_true", help="size the global head to match the published parameter count")
-    p.add_argument("--no-sub-loss", action="store_true", help="drop per-band softmax heads; train the global head only")
+    p.add_argument("--no-sub-loss", action="store_true", help="drop the per-band heads; train the global head only")
     p.add_argument("--width-mult", type=int, default=1, help="baseline conv width multiplier")
     p.add_argument("--channels", choices=["mono", "stereo"], default="stereo")
 
@@ -106,7 +106,6 @@ def _train_config(args) -> TrainConfig:
         hop_size=args.hop_size,
         head_compat=args.head_compat,
         include_sub_heads=not args.no_sub_loss,
-        use_sub_losses=not args.no_sub_loss,
         width_multiplier=args.width_mult,
     )
 

@@ -3,15 +3,16 @@
 The band-split model crops the input spectrogram into overlapping
 horizontal bands, runs one small CNN ("sub-classifier") per band, and
 feeds the concatenated 32-unit band features into a dense global head.
-Every sub-classifier keeps its own softmax output so each band learns to
-classify on its own; all heads are trained simultaneously by summing
-their cross-entropies.
+Every sub-classifier keeps its own classifier head so each band learns to
+classify on its own. Every head ends at a dense layer and emits logits;
+all heads are trained simultaneously by summing their softmax
+cross-entropies, and softmax runs only when predicting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .nn.layers import (
     Parameter,
     ReLU,
     Sequential,
-    Softmax,
 )
 from .nn.optim import ParamStore
 from .seeding import STREAM_INIT, philox_rng
@@ -91,15 +91,6 @@ def global_head_widths(crop_count: int, head_compat: bool = False) -> list[int]:
     return [2 ** (6 + hidden - i) for i in range(1, hidden + 1)]
 
 
-@dataclass
-class GlobalHeadSpec:
-    hidden_widths: list[int] = field(default_factory=list)
-
-    @classmethod
-    def from_crop_count(cls, crop_count: int, head_compat: bool = False) -> "GlobalHeadSpec":
-        return cls(hidden_widths=global_head_widths(crop_count, head_compat))
-
-
 def _check_pool(name: str, value: int, available: int, what: str):
     if value > available:
         raise ValueError(f"{name}: pool size {value} exceeds available {what} extent {available}")
@@ -118,12 +109,12 @@ def build_subclassifier(
     prefix: str = "sub",
 ) -> tuple[Sequential, Sequential]:
     """One band CNN: trunk ending at the 32-unit band features, plus its
-    softmax head.
+    classifier head.
 
     Stack: conv(32, 7x7, same) -> BN -> ReLU -> pool(sub_size/10, 5) ->
     dropout -> conv(64, 7x7, same) -> BN -> ReLU -> pool(4, time_pool) ->
     dropout -> flatten -> dense(32) -> ReLU -> dropout, then
-    dense(n_classes) -> softmax as the head.
+    dense(n_classes) as the head, which emits logits.
     """
     if sub_size % 10 != 0:
         raise ValueError(f"{prefix}: sub_size {sub_size} not divisible by 10")
@@ -155,12 +146,7 @@ def build_subclassifier(
             Dropout(dropout, name=f"{prefix}.drop3"),
         ]
     )
-    head = Sequential(
-        [
-            Dense(FEATURE_WIDTH, n_classes, rng=rng, dtype=dtype, name=f"{prefix}.head"),
-            Softmax(name=f"{prefix}.softmax"),
-        ]
-    )
+    head = Sequential([Dense(FEATURE_WIDTH, n_classes, rng=rng, dtype=dtype, name=f"{prefix}.head")])
     return trunk, head
 
 
@@ -173,7 +159,8 @@ def build_global_head(
     dtype=np.float32,
     prefix: str = "global",
 ) -> Sequential:
-    """Dense stack over the concatenated band features (width 32*M)."""
+    """Dense stack over the concatenated band features (width 32*M),
+    ending in n_classes logits."""
     rng = rng or philox_rng(0, STREAM_INIT)
     width = FEATURE_WIDTH * crop_count
     layers = []
@@ -182,12 +169,11 @@ def build_global_head(
         layers.append(ReLU(name=f"{prefix}.relu{i}"))
         width = hidden
     layers.append(Dense(width, n_classes, rng=rng, dtype=dtype, name=f"{prefix}.out"))
-    layers.append(Softmax(name=f"{prefix}.softmax"))
     return Sequential(layers)
 
 
 class ModelGraph:
-    """Built network with one or more softmax heads.
+    """Built network with one or more classifier heads, each emitting logits.
 
     kind is "baseline" (single stack, head "global") or "subspectralnet"
     (M band trunks with optional per-band heads "sub0".."subM-1" plus the
@@ -253,10 +239,10 @@ class ModelGraph:
             out[f"sub{i}"] = head.forward(self._features[i], train)
         return out
 
-    def backward(self, dprobs: dict[str, np.ndarray], input_grad: bool = False):
-        """Backpropagate head gradients into parameter .grad fields.
+    def backward(self, dlogits: dict[str, np.ndarray], input_grad: bool = False):
+        """Backpropagate head logit gradients into parameter .grad fields.
 
-        Heads absent from dprobs contribute nothing, so their private
+        Heads absent from dlogits contribute nothing, so their private
         parameters keep whatever is already in .grad (zero after
         zero_grad). Band trunks accumulate from both their own head and
         the global head. The gradient w.r.t. the input spectrogram is
@@ -264,16 +250,16 @@ class ModelGraph:
         never needs it.
         """
         if self.kind == "baseline":
-            return self.stack.backward(dprobs["global"], input_grad=input_grad)
+            return self.stack.backward(dlogits["global"], input_grad=input_grad)
         widths = [f.shape[1] for f in self._features]
-        if "global" in dprobs:
-            dfeats = [np.array(d) for d in F.split_widths(self.global_head.backward(dprobs["global"]), widths)]
+        if "global" in dlogits:
+            dfeats = [np.array(d) for d in F.split_widths(self.global_head.backward(dlogits["global"]), widths)]
         else:
             dfeats = [np.zeros_like(f) for f in self._features]
         for i, head in enumerate(self.sub_heads):
             key = f"sub{i}"
-            if key in dprobs:
-                dfeats[i] += head.backward(dprobs[key])
+            if key in dlogits:
+                dfeats[i] += head.backward(dlogits[key])
         dx = np.zeros(self._input_shape, dtype=dfeats[0].dtype) if input_grad else None
         for trunk, (lo, hi), dfeat in zip(self.trunks, self.cfg.crop_ranges(), dfeats):
             dcrop = trunk.backward(dfeat, input_grad=input_grad)
@@ -296,7 +282,33 @@ class ModelGraph:
         layers = [layer.spec() for seq in self._sequentials() for layer in seq.layers]
         return dict(self.desc, layers=layers)
 
-    # -- persistence ----------------------------------------------------
+    # -- state ----------------------------------------------------------
+
+    def state(self) -> dict[str, np.ndarray]:
+        """Copies of every parameter and buffer, keyed by name."""
+        tensors = {p.name: p.data.copy() for p in self.parameters()}
+        tensors.update((name, value.copy()) for name, value in self.buffers())
+        return tensors
+
+    def load_state(self, tensors: dict[str, np.ndarray]) -> None:
+        """Set every parameter and buffer from tensors, which must hold
+        exactly the names of state(), each with the same shape."""
+        shapes = {p.name: p.data.shape for p in self.parameters()}
+        shapes.update((name, value.shape) for name, value in self.buffers())
+        for name in tensors:
+            if name not in shapes:
+                raise ValueError(f"tensor {name} is not part of the model")
+        for name, shape in shapes.items():
+            if name not in tensors:
+                raise ValueError(f"tensor {name} is missing")
+            if np.shape(tensors[name]) != shape:
+                raise ValueError(f"tensor {name} has shape {np.shape(tensors[name])}, expected {shape}")
+        for p in self.parameters():
+            p.data[...] = tensors[p.name]
+        for seq in self._sequentials():
+            for layer in seq.layers:
+                for name, _ in layer.buffers():
+                    layer.load_buffer(name, tensors[name])
 
     def save(self, path, meta: dict | None = None) -> None:
         tensors = [(p.name, "param", p.data) for p in self.parameters()]
@@ -309,21 +321,15 @@ def count_params(graph: ModelGraph) -> int:
     return sum(p.size for p in graph.parameters())
 
 
-def multi_head_loss(head_probs: dict[str, np.ndarray], labels: np.ndarray, heads=None):
-    """Unweighted sum of per-head cross-entropies and its head gradients.
-
-    heads selects which outputs contribute (default: all), so sub-head
-    losses can be switched off while the heads stay in the graph.
-    """
-    if heads is None:
-        heads = list(head_probs)
+def multi_head_loss(head_logits: dict[str, np.ndarray], labels: np.ndarray):
+    """Unweighted sum of the heads' softmax cross-entropies, and the
+    gradient for each head's logits."""
     loss = 0.0
-    dprobs = {}
-    for name in heads:
-        probs = head_probs[name]
-        loss += F.cross_entropy(probs, labels)
-        dprobs[name] = F.cross_entropy_backward(probs, labels)
-    return loss, dprobs
+    dlogits = {}
+    for name, logits in head_logits.items():
+        head_loss, dlogits[name] = F.softmax_cross_entropy(logits, labels)
+        loss += head_loss
+    return loss, dlogits
 
 
 def build_subspectralnet(
@@ -342,8 +348,8 @@ def build_subspectralnet(
 ) -> ModelGraph:
     """Band-split network: M sub-classifiers plus the global head.
 
-    include_sub_heads=False drops the per-band softmax layers from the
-    graph entirely (the "global head only" variant, ~990 fewer parameters
+    include_sub_heads=False drops the per-band heads from the graph
+    entirely (the "global head only" variant, ~990 fewer parameters
     for M = 3).
     """
     if time_pool is None:
@@ -400,7 +406,7 @@ def build_baseline(
     class_names=None,
 ) -> ModelGraph:
     """Reference CNN: two 7x7 conv blocks with (5,5) and (4,time_pool)
-    pooling, a 100-unit dense layer, and one softmax output.
+    pooling, a 100-unit dense layer, and one logits output.
 
     width_multiplier scales both conv widths (2 doubles them to 64/128).
     """
@@ -445,7 +451,6 @@ def build_baseline(
             ReLU(name="base.relu3"),
             Dropout(dropout, name="base.drop3"),
             Dense(100, n_classes, rng=rng, dtype=dtype, name="base.dense2"),
-            Softmax(name="base.softmax"),
         ]
     )
     return graph
@@ -486,21 +491,12 @@ def load_model(path, dtype=np.float32) -> tuple[ModelGraph, dict]:
     """Rebuild a graph from a checkpoint and load its tensors. Returns
     (graph, meta)."""
     desc, tensors, meta = storage.read_checkpoint(path)
-    graph = build_from_description(desc, dtype=dtype)
-    by_name = {p.name: p for p in graph.parameters()}
-    buffer_layers = {name: None for name, _ in graph.buffers()}
-    for seq in graph._sequentials():
-        for layer in seq.layers:
-            for name, _ in layer.buffers():
-                buffer_layers[name] = layer
-    for name, value in tensors.items():
-        if name in by_name:
-            param = by_name[name]
-            if tuple(value.shape) != param.data.shape:
-                raise ValueError(f"checkpoint tensor {name} has shape {value.shape}, expected {param.data.shape}")
-            param.data[...] = value.astype(param.data.dtype)
-        elif name in buffer_layers and buffer_layers[name] is not None:
-            buffer_layers[name].load_buffer(name, value)
-        else:
-            raise ValueError(f"checkpoint tensor {name} not present in rebuilt model")
+    try:
+        graph = build_from_description(desc, dtype=dtype)
+    except KeyError as exc:
+        raise storage.ContainerError(f"{path}: model description has no {exc} entry") from exc
+    try:
+        graph.load_state(tensors)
+    except ValueError as exc:
+        raise storage.ContainerError(f"{path}: checkpoint {exc}") from exc
     return graph, meta

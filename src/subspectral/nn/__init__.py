@@ -6,8 +6,6 @@ accumulation inside every kernel; pass dtype=float64 to the builders for
 fully double-precision graphs (used by gradient checking).
 """
 
-import numpy as np
-
 from . import functional
 from .gradcheck import GradCheckReport, grad_check, relative_error, sample_coords
 from .layers import (
@@ -21,12 +19,9 @@ from .layers import (
     Parameter,
     ReLU,
     Sequential,
-    Softmax,
     glorot_uniform,
 )
 from .optim import ParamStore, adam_step
-
-Tensor4 = np.ndarray
 
 __all__ = [
     "BatchNorm2d",
@@ -41,8 +36,6 @@ __all__ = [
     "Parameter",
     "ReLU",
     "Sequential",
-    "Softmax",
-    "Tensor4",
     "adam_step",
     "functional",
     "glorot_uniform",

@@ -1,6 +1,6 @@
 """Forward/backward kernels for the layers the models need.
 
-Convention: feature maps are (N, C, H, W) numpy arrays ("Tensor4"), dense
+Convention: feature maps are (N, C, H, W) numpy arrays, dense
 activations are (N, D). Elementwise math and matrix products run in the
 caller's storage dtype (float32 by default, float64 when the graph is
 built that way); statistical reductions -- batch statistics, bias sums,
@@ -10,11 +10,7 @@ Convolution is cross-correlation (no kernel flip).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-
-PROB_FLOOR = 1e-12
 
 
 def _same_padding(k: int) -> tuple[int, int]:
@@ -174,13 +170,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return (e / e.sum(axis=1, keepdims=True)).astype(z.dtype)
 
 
-def softmax_backward(dy: np.ndarray, y: np.ndarray) -> np.ndarray:
-    yf = y.astype(np.float64)
-    dyf = dy.astype(np.float64)
-    inner = np.sum(dyf * yf, axis=1, keepdims=True)
-    return (yf * (dyf - inner)).astype(y.dtype)
-
-
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     return rng.random(shape) >= rate
 
@@ -220,25 +209,19 @@ def split_widths(dy: np.ndarray, widths):
     return out
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log likelihood of the labeled class.
+def softmax_cross_entropy(z: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy of softmax(z) against integer labels, taken on
+    the logits z. Returns (loss, dz) with dz = (softmax(z) - onehot) / n.
 
-    probs rows must be (approximately) stochastic; probabilities below
-    1e-12 are clamped with a warning rather than producing inf.
+    The float64 log-sum-exp keeps the loss finite and the gradient exact
+    for any logit margin; nothing is clamped.
     """
-    n = probs.shape[0]
-    p = probs[np.arange(n), labels].astype(np.float64)
-    if np.any(p < PROB_FLOOR):
-        warnings.warn("cross_entropy: clamping near-zero predicted probability", RuntimeWarning, stacklevel=2)
-    return float(-np.mean(np.log(np.maximum(p, PROB_FLOOR))))
-
-
-def cross_entropy_backward(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d(mean CE)/d(probs); zero where the probability was clamped."""
-    n = probs.shape[0]
-    p = probs[np.arange(n), labels].astype(np.float64)
-    d = np.zeros(probs.shape, dtype=np.float64)
-    safe = p >= PROB_FLOOR
-    rows = np.arange(n)[safe]
-    d[rows, labels[safe]] = -1.0 / (n * p[safe])
-    return d.astype(probs.dtype)
+    n = z.shape[0]
+    rows = np.arange(n)
+    shifted = z.astype(np.float64) - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) - shifted[rows, labels]))
+    dz = e / total
+    dz[rows, labels] -= 1.0
+    return loss, (dz / n).astype(z.dtype)

@@ -286,21 +286,6 @@ class Dense(Layer):
         return {"kind": self.kind, "name": self.name, "in_features": self.in_features, "out_features": self.out_features}
 
 
-class Softmax(Layer):
-    kind = "softmax"
-
-    def __init__(self, name=""):
-        super().__init__(name)
-        self._y = None
-
-    def forward(self, x, train):
-        self._y = F.softmax(x)
-        return self._y
-
-    def backward(self, dy):
-        return F.softmax_backward(dy, self._y)
-
-
 class Sequential:
     """Plain layer pipeline; backward runs in reverse order."""
 

@@ -152,15 +152,21 @@ def read_checkpoint(path) -> tuple[dict, dict, dict]:
         header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise ContainerError(f"{path}: malformed header: {exc}") from exc
-    if header.get("format_version") != CHECKPOINT_VERSION:
+    if not isinstance(header, dict) or header.get("format_version") != CHECKPOINT_VERSION:
         raise ContainerError(f"{path}: unsupported checkpoint version")
+    if not isinstance(header.get("model"), dict) or not isinstance(header.get("tensors"), list):
+        raise ContainerError(f"{path}: header needs a 'model' object and a 'tensors' list")
     pos = 8 + header_len
     tensors = {}
     for entry in header["tensors"]:
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        valid_shape = isinstance(shape, list) and all(isinstance(d, int) and d >= 0 for d in shape)
+        if not (valid_shape and isinstance(entry.get("name"), str)):
+            raise ContainerError(f"{path}: malformed tensor entry {entry!r}")
+        count = int(np.prod(shape))
         if pos + count * 4 > len(blob):
             raise ContainerError(f"{path}: tensor {entry['name']!r} runs past the end of the file")
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos).reshape(entry["shape"])
+        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos).reshape(shape)
         tensors[entry["name"]] = arr.copy()
         pos += count * 4
     if pos != len(blob):

@@ -21,6 +21,7 @@ from .models import (
     build_subspectralnet,
     multi_head_loss,
 )
+from .nn import functional as F
 from .nn.optim import adam_step
 from .seeding import STREAM_DROPOUT, epoch_rng, philox_rng
 
@@ -37,7 +38,6 @@ class TrainConfig:
     hop_size: int = 10
     head_compat: bool = False
     include_sub_heads: bool = True
-    use_sub_losses: bool = True
     width_multiplier: int = 1
     dropout: float = 0.3
     eval_batch: int = 64
@@ -111,12 +111,13 @@ def build_model(
 
 
 def predict_probs(graph: ModelGraph, features: np.ndarray, batch: int = 64) -> dict[str, np.ndarray]:
-    """Eval-mode class probabilities per head over a feature tensor."""
+    """Eval-mode class probabilities per head over a feature tensor: the
+    softmax of each head's logits."""
     out: dict[str, list] = {name: [] for name in graph.head_names()}
     for lo in range(0, features.shape[0], batch):
-        probs = graph.forward(features[lo : lo + batch], train=False)
-        for name, p in probs.items():
-            out[name].append(p)
+        logits = graph.forward(features[lo : lo + batch], train=False)
+        for name, z in logits.items():
+            out[name].append(F.softmax(z))
     return {name: np.concatenate(chunks, axis=0) for name, chunks in out.items()}
 
 
@@ -137,26 +138,6 @@ def evaluate_model(graph: ModelGraph, features: np.ndarray, labels: np.ndarray, 
         confusion[name] = matrix
         accuracy[name] = float(np.trace(matrix)) / len(labels)
     return EvalReport(head_names=graph.head_names(), accuracy=accuracy, confusion=confusion, n_samples=len(labels))
-
-
-def _snapshot(graph: ModelGraph):
-    params = [p.data.copy() for p in graph.parameters()]
-    buffers = [value.copy() for _, value in graph.buffers()]
-    return params, buffers
-
-
-def _restore(graph: ModelGraph, snapshot) -> None:
-    params, buffers = snapshot
-    for p, saved in zip(graph.parameters(), params):
-        p.data[...] = saved
-    names = [name for name, _ in graph.buffers()]
-    layers = {}
-    for seq in graph._sequentials():
-        for layer in seq.layers:
-            for name, _ in layer.buffers():
-                layers[name] = layer
-    for name, saved in zip(names, buffers):
-        layers[name].load_buffer(name, saved)
 
 
 def train_model(
@@ -180,28 +161,27 @@ def train_model(
     else:
         n_classes = int(max(train_y.max(), test_y.max())) + 1
     histories = []
-    best_overall = (-1.0, None, None, None)  # acc, run index, snapshot, graph
+    best_overall = (-1.0, None, None, None)  # acc, run index, state, graph
     for run in range(cfg.repeats):
         run_seed = cfg.seed + run
         graph = build_model(cfg, mel_bins, frames, channels, run_seed, class_names, n_classes)
         graph.set_dropout_rng(philox_rng(run_seed, STREAM_DROPOUT))
         store = graph.param_store()
-        loss_heads = graph.head_names() if cfg.use_sub_losses else ["global"]
         history = RunHistory(run_seed=run_seed, test_accuracy={name: [] for name in graph.head_names()})
-        best_snapshot = None
+        best_state = None
         for epoch in range(cfg.epochs):
             order = epoch_rng(run_seed, epoch).permutation(train_x.shape[0])
             total_loss = 0.0
             n_batches = 0
             for lo in range(0, len(order), cfg.batch_size):
                 idx = order[lo : lo + cfg.batch_size]
-                probs = graph.forward(train_x[idx], train=True)
-                loss, dprobs = multi_head_loss(probs, train_y[idx], loss_heads)
+                logits = graph.forward(train_x[idx], train=True)
+                loss, dlogits = multi_head_loss(logits, train_y[idx])
                 if not math.isfinite(loss):
                     bad = "NaN" if math.isnan(loss) else loss
                     raise RuntimeError(f"{bad} loss at run {run}, epoch {epoch}, batch {n_batches}")
                 store.zero_grad()
-                graph.backward(dprobs)
+                graph.backward(dlogits)
                 adam_step(store, lr=cfg.lr)
                 total_loss += loss
                 n_batches += 1
@@ -214,12 +194,12 @@ def train_model(
             if test_report.accuracy["global"] > history.best_accuracy:
                 history.best_accuracy = test_report.accuracy["global"]
                 history.best_epoch = epoch
-                best_snapshot = _snapshot(graph)
+                best_state = graph.state()
         histories.append(history)
         if history.best_accuracy > best_overall[0]:
-            best_overall = (history.best_accuracy, run, best_snapshot, graph)
-    _, best_run, snapshot, graph = best_overall
-    _restore(graph, snapshot)
+            best_overall = (history.best_accuracy, run, best_state, graph)
+    _, best_run, state, graph = best_overall
+    graph.load_state(state)
     final_report = evaluate_model(graph, test_x, test_y, cfg.eval_batch)
     average_best = float(np.mean([h.best_accuracy for h in histories]))
     return TrainResult(

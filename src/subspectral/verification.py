@@ -142,11 +142,10 @@ def _case_softmax_ce(seed):
     arrays = [z]
 
     def loss(a):
-        return F.cross_entropy(F.softmax(a[0]), labels)
+        return F.softmax_cross_entropy(a[0], labels)[0]
 
     def grads(a):
-        probs = F.softmax(a[0])
-        return [F.softmax_backward(F.cross_entropy_backward(probs, labels), probs)]
+        return [F.softmax_cross_entropy(a[0], labels)[1]]
 
     return "softmax_cross_entropy", arrays, loss, grads, None
 
@@ -177,7 +176,7 @@ def _case_subclassifier(seed):
         return trunk, head
 
     def loss_for(trunk, head, x):
-        return F.cross_entropy(head.forward(trunk.forward(x, True), True), labels)
+        return F.softmax_cross_entropy(head.forward(trunk.forward(x, True), True), labels)[0]
 
     def make(dtype):
         trunk, head = build(dtype)
@@ -188,11 +187,10 @@ def _case_subclassifier(seed):
             return loss_for(trunk, head, x)
 
         def grads():
-            probs = head.forward(trunk.forward(x, True), True)
-            l = F.cross_entropy(probs, labels)
+            l, dlogits = F.softmax_cross_entropy(head.forward(trunk.forward(x, True), True), labels)
             for p in params:
                 p.grad[...] = 0
-            dfeat = head.backward(F.cross_entropy_backward(probs, labels))
+            dfeat = head.backward(dlogits)
             dx = trunk.backward(dfeat, input_grad=True)
             return l, [dx] + [p.grad for p in params]
 
@@ -216,16 +214,14 @@ def _case_multi_head(seed):
         x = x64.astype(dtype)
 
         def loss():
-            probs = graph.forward(x, train=True)
-            l, _ = multi_head_loss(probs, labels)
+            l, _ = multi_head_loss(graph.forward(x, train=True), labels)
             return l
 
         def grads():
-            probs = graph.forward(x, train=True)
-            l, dprobs = multi_head_loss(probs, labels)
+            l, dlogits = multi_head_loss(graph.forward(x, train=True), labels)
             for p in params:
                 p.grad[...] = 0
-            dx = graph.backward(dprobs, input_grad=True)
+            dx = graph.backward(dlogits, input_grad=True)
             return l, [dx] + [p.grad for p in params]
 
         return x, params, loss, grads

@@ -1,5 +1,7 @@
 """Architecture tests: splitting, shape traces, parameter counts, heads."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from subspectral.models import (
     split_subspectrograms,
 )
 from subspectral.nn import functional as F
+from subspectral.storage import ContainerError, read_checkpoint, write_checkpoint
+from subspectral.training import predict_probs
 
 
 def dimension_oracle_subclassifier(sub_size, frames, channels, time_pool):
@@ -230,16 +234,16 @@ class TestParameterCounts:
 
 class TestMultiHeadLoss:
     def test_uniform_heads_sum(self):
-        probs = {name: np.full((2, 10), 0.1) for name in ("global", "sub0", "sub1", "sub2")}
-        loss, dprobs = multi_head_loss(probs, np.array([3, 7]))
+        logits = {name: np.zeros((2, 10)) for name in ("global", "sub0", "sub1", "sub2")}
+        loss, dlogits = multi_head_loss(logits, np.array([3, 7]))
         assert loss == pytest.approx(4 * np.log(10), rel=1e-9)
-        assert set(dprobs) == set(probs)
+        assert set(dlogits) == set(logits)
 
     def test_disabled_sub_losses(self):
-        probs = {name: np.full((2, 10), 0.1) for name in ("global", "sub0")}
-        loss, dprobs = multi_head_loss(probs, np.array([0, 0]), heads=["global"])
+        # sub-head losses are left out by leaving the heads out of the dict
+        loss, dlogits = multi_head_loss({"global": np.zeros((2, 10))}, np.array([0, 0]))
         assert loss == pytest.approx(np.log(10), rel=1e-9)
-        assert list(dprobs) == ["global"]
+        assert list(dlogits) == ["global"]
 
     def test_gradient_is_sum_of_head_gradients(self, rng):
         cfg = SubSpectralConfig(20, 10, 10)
@@ -248,18 +252,18 @@ class TestMultiHeadLoss:
         labels = np.array([1, 8])
         store = graph.param_store()
 
-        probs = graph.forward(x, train=True)
-        _, dprobs = multi_head_loss(probs, labels)
+        logits = graph.forward(x, train=True)
+        _, dlogits = multi_head_loss(logits, labels)
         store.zero_grad()
-        graph.backward(dprobs)
+        graph.backward(dlogits)
         combined = {p.name: p.grad.copy() for p in graph.parameters()}
 
         total = {p.name: np.zeros_like(p.grad) for p in graph.parameters()}
         for head in graph.head_names():
-            probs = graph.forward(x, train=True)
-            _, dp = multi_head_loss(probs, labels, heads=[head])
+            logits = graph.forward(x, train=True)
+            _, dz = multi_head_loss({head: logits[head]}, labels)
             store.zero_grad()
-            graph.backward(dp)
+            graph.backward(dz)
             for p in graph.parameters():
                 total[p.name] += p.grad
         for name in combined:
@@ -273,10 +277,10 @@ class TestHeadGradientFlow:
         x = rng.standard_normal((2, 2, 40, 50)).astype(np.float32)
         labels = np.array([0, 5])
         store = graph.param_store()
-        probs = graph.forward(x, train=True)
-        _, dprobs = multi_head_loss(probs, labels, heads=["global"])
+        logits = graph.forward(x, train=True)
+        _, dlogits = multi_head_loss({"global": logits["global"]}, labels)
         store.zero_grad()
-        graph.backward(dprobs)
+        graph.backward(dlogits)
         for head in graph.sub_heads:
             for p in head.params():
                 assert np.all(p.grad == 0), f"{p.name} should receive no gradient"
@@ -287,8 +291,10 @@ class TestHeadGradientFlow:
         cfg = SubSpectralConfig(40, 20, 10)
         graph = build_subspectralnet(cfg, 50, 2, dropout=0.0, seed=0, time_pool=10)
         x = rng.standard_normal((4, 2, 40, 50)).astype(np.float32)
-        probs = graph.forward(x, train=True)
-        assert len(probs) == cfg.crop_count + 1
+        logits = graph.forward(x, train=True)
+        assert len(logits) == cfg.crop_count + 1
+        probs = predict_probs(graph, x)
+        assert set(probs) == set(logits)
         for p in probs.values():
             np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-6)
 
@@ -312,6 +318,58 @@ class TestCheckpointRoundTrip:
         probs_b = loaded.forward(x, train=False)
         for name in probs_a:
             np.testing.assert_array_equal(probs_a[name], probs_b[name])
+
+    def test_state_is_a_copy_that_load_state_restores(self, rng):
+        graph = build_baseline(40, 50, 2, time_pool=10, seed=3)
+        graph.set_dropout_rng(np.random.default_rng(0))
+        x = rng.standard_normal((4, 2, 40, 50)).astype(np.float32)
+        graph.forward(x, train=True)
+        saved = graph.state()
+        assert set(saved) == {p.name for p in graph.parameters()} | {name for name, _ in graph.buffers()}
+        graph.forward(x, train=True)  # moves the running stats and the batch count
+        graph.parameters()[0].data += 1.0
+        assert not np.array_equal(graph.state()["base.bn1.running_mean"], saved["base.bn1.running_mean"])
+        graph.load_state(saved)
+        for name, value in graph.state().items():
+            np.testing.assert_array_equal(value, saved[name])
+
+    @pytest.mark.parametrize("damage", ["drop", "extra"])
+    def test_checkpoint_must_hold_exactly_the_model_tensors(self, tmp_path, rng, damage):
+        graph = build_baseline(40, 50, 2, time_pool=10, seed=3)
+        graph.set_dropout_rng(np.random.default_rng(0))
+        graph.forward(rng.standard_normal((2, 2, 40, 50)).astype(np.float32), train=True)
+        path = tmp_path / "model.ssnw"
+        graph.save(path)
+        desc, tensors, _ = read_checkpoint(path)
+        if damage == "drop":
+            name = "base.conv1.weight"
+            del tensors[name]  # write_checkpoint drops its entry and its bytes
+        else:
+            name = "base.extra.weight"
+            tensors[name] = np.zeros(3, dtype=np.float32)
+        write_checkpoint(path, desc, [(n, "param", v) for n, v in tensors.items()])
+        with pytest.raises(ContainerError, match=re.escape(name)):
+            load_model(path)
+
+    def test_header_listing_softmax_layers_loads_and_predicts_the_same(self, tmp_path, rng):
+        # checkpoints written while every head ended in a softmax layer
+        # list those layers in their header; they carry no tensors
+        cfg = SubSpectralConfig(40, 20, 10)
+        graph = build_subspectralnet(cfg, 50, 2, seed=4, time_pool=10)
+        graph.set_dropout_rng(np.random.default_rng(0))
+        x = rng.standard_normal((4, 2, 40, 50)).astype(np.float32)
+        graph.forward(x, train=True)
+        path = tmp_path / "model.ssnw"
+        graph.save(path)
+        header = graph.describe()
+        softmax_specs = [{"kind": "softmax", "name": f"{h}.softmax"} for h in graph.head_names()]
+        header["layers"] = header["layers"] + softmax_specs
+        _, tensors, _ = read_checkpoint(path)
+        write_checkpoint(path, header, [(n, "param", v) for n, v in tensors.items()])
+        loaded, _ = load_model(path)
+        expected = predict_probs(graph, x)
+        for name, probs in predict_probs(loaded, x).items():
+            np.testing.assert_array_equal(probs, expected[name])
 
     def test_eval_before_training_errors(self):
         graph = build_baseline(40, 50, 2, time_pool=10)

@@ -1,5 +1,7 @@
 """Kernel-level tests against brute-force oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -163,28 +165,50 @@ class TestSoftmaxCrossEntropy:
         np.testing.assert_allclose(F.softmax(z + 123.4), probs, atol=1e-6)
 
     def test_uniform_ce_is_log_10(self):
-        probs = np.full((4, 10), 0.1)
         labels = np.array([0, 3, 5, 9])
-        assert F.cross_entropy(probs, labels) == pytest.approx(np.log(10), rel=1e-12)
+        loss, _ = F.softmax_cross_entropy(np.zeros((4, 10)), labels)
+        assert loss == pytest.approx(np.log(10), rel=1e-12)
 
     def test_onehot_correct_is_zero(self):
-        probs = np.eye(10)[[2, 4]]
-        assert F.cross_entropy(probs, np.array([2, 4])) == 0.0
+        z = np.eye(10)[[2, 4]] * 1000.0
+        loss, _ = F.softmax_cross_entropy(z, np.array([2, 4]))
+        assert loss == 0.0
 
-    def test_zero_probability_clamped_with_warning(self):
-        probs = np.array([[1.0, 0.0]])
-        with pytest.warns(RuntimeWarning, match="clamping"):
-            loss = F.cross_entropy(probs, np.array([1]))
-        assert loss == pytest.approx(-np.log(1e-12))
+    def test_zero_probability_gives_finite_loss_without_warning(self):
+        z = np.array([[0.0, -1000.0]])  # softmax underflows to exactly [1, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, dz = F.softmax_cross_entropy(z, np.array([1]))
+        assert loss == pytest.approx(1000.0)
+        np.testing.assert_array_equal(dz, [[1.0, -1.0]])
+
+    def test_confidently_wrong_head_keeps_its_gradient(self):
+        # a float64 logit margin of 40 puts p(label) near 4e-18, below the
+        # 1e-12 floor where a clamped loss would zero the gradient
+        z = np.array([[40.0, 0.0, 0.0], [0.0, 40.0, 0.0]])
+        labels = np.array([2, 2])
+        probs = F.softmax(z)
+        assert np.all(probs[:, 2] < 1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, dz = F.softmax_cross_entropy(z, labels)
+        assert np.isfinite(loss) and loss == pytest.approx(40.0)
+        np.testing.assert_allclose(dz, (probs - np.eye(3)[labels]) / 2, rtol=1e-15, atol=0)
+        assert np.all(dz[:, 2] < -0.49)
 
     def test_softmax_ce_gradient_is_probs_minus_onehot(self):
         rng = np.random.default_rng(6)
         z = rng.standard_normal((5, 10))
         labels = rng.integers(0, 10, 5)
         probs = F.softmax(z)
-        dz = F.softmax_backward(F.cross_entropy_backward(probs, labels), probs)
+        _, dz = F.softmax_cross_entropy(z, labels)
         onehot = np.eye(10)[labels]
         np.testing.assert_allclose(dz, (probs - onehot) / 5, atol=1e-9)
+
+    def test_gradient_keeps_the_storage_dtype(self):
+        z = np.zeros((2, 4), dtype=np.float32)
+        _, dz = F.softmax_cross_entropy(z, np.array([0, 1]))
+        assert dz.dtype == np.float32
 
 
 class TestDropout:

@@ -171,6 +171,16 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_predict_with_renamed_header_key_exits_1(self, cli_dirs, tmp_path, capsys):
+        _, feat, run = cli_dirs
+        damaged = tmp_path / "model.ssnw"
+        blob = (run / "model.ssnw").read_bytes()
+        assert blob.count(b'"tensors"') == 1
+        damaged.write_bytes(blob.replace(b'"tensors"', b'"uensors"'))
+        code = main(["predict", "--checkpoint", str(damaged), "--features", str(feat / "test.ssnf")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_extract_pair_manifests(self, tmp_path):
         from subspectral.data import synth_fixture, write_manifest
         from subspectral.data import DatasetManifest

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from subspectral.features import BinNormalizer
+from subspectral.models import load_model
 from subspectral.storage import (
     ContainerError,
     read_checkpoint,
@@ -142,6 +143,10 @@ class TestCheckpoint:
             "header_len_past_end",
             "bit_flipped_header",
             "header_cut_short",
+            "renamed_tensors_key",
+            "renamed_model_key",
+            "renamed_shape_key",
+            "renamed_kind_key",
         ],
     )
     def test_malformed_file_raises_container_error(self, tmp_path, rng, damage):
@@ -155,8 +160,13 @@ class TestCheckpoint:
             blob[4:8] = struct.pack("<I", len(blob))
         elif damage == "bit_flipped_header":
             blob[8] ^= 0x80  # '{' becomes a byte that is not valid utf-8
-        else:
+        elif damage == "header_cut_short":
             blob[4:8] = struct.pack("<I", header_len - 7)
+        else:  # a one-letter change that leaves the header valid JSON
+            key = damage.split("_")[1].encode()
+            blob = blob.replace(b'"%s"' % key, b'"%s"' % (key[:-1] + b"_"), 1)
         path.write_bytes(bytes(blob))
+        # the model description is only read when the graph is rebuilt
+        reader = load_model if damage == "renamed_kind_key" else read_checkpoint
         with pytest.raises(ContainerError, match=re.escape(str(path))):
-            read_checkpoint(path)
+            reader(path)

@@ -63,9 +63,9 @@ class TestTrainLoop:
     def test_nan_loss_aborts_with_context(self, data, monkeypatch):
         from subspectral import training as tr
 
-        def poisoned(head_probs, labels, heads=None):
-            loss, dprobs = multi_head_loss(head_probs, labels, heads)
-            return float("nan"), dprobs
+        def poisoned(head_logits, labels):
+            loss, dlogits = multi_head_loss(head_logits, labels)
+            return float("nan"), dlogits
 
         monkeypatch.setattr(tr, "multi_head_loss", poisoned)
         with pytest.raises(RuntimeError, match="NaN loss at run 0, epoch 0, batch 0"):
@@ -74,9 +74,9 @@ class TestTrainLoop:
     def test_inf_loss_aborts_with_context(self, data, monkeypatch):
         from subspectral import training as tr
 
-        def poisoned(head_probs, labels, heads=None):
-            loss, dprobs = multi_head_loss(head_probs, labels, heads)
-            return float("inf"), dprobs
+        def poisoned(head_logits, labels):
+            loss, dlogits = multi_head_loss(head_logits, labels)
+            return float("inf"), dlogits
 
         monkeypatch.setattr(tr, "multi_head_loss", poisoned)
         with pytest.raises(RuntimeError, match="inf loss at run 0, epoch 0, batch 0"):
@@ -100,7 +100,7 @@ class TestTrainLoop:
         assert result.graph.head_names() == ["global"]
 
     def test_no_sub_loss_variant_has_single_head(self, data):
-        cfg = small_cfg(include_sub_heads=False, use_sub_losses=False, epochs=2)
+        cfg = small_cfg(include_sub_heads=False, epochs=2)
         result = train_model(data["train_x"], data["train_y"], data["test_x"], data["test_y"], cfg)
         assert result.graph.head_names() == ["global"]
 
