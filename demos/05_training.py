@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""End-to-end training on the synthetic fixture (a few minutes of CPU).
+"""End-to-end training on the synthetic fixture (about half a minute of CPU).
 
 Trains the band-split network on 10 classes of band-limited noise and
 reports per-head accuracies: each sub-classifier can only separate the

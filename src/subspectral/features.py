@@ -49,15 +49,12 @@ class StftConfig:
     fft_size: int = 2048
     window_ms: float = 40.0
     hop_ms: float = 20.0
-    window_kind: str = "hamming"
 
     def __post_init__(self):
         if self.fft_size < 1:
             raise ValueError("fft_size must be >= 1")
         if not 0 < self.hop_ms < self.window_ms:
             raise ValueError(f"hop_ms must satisfy 0 < hop ({self.hop_ms}) < window ({self.window_ms})")
-        if self.window_kind not in ("hamming", "hann"):
-            raise ValueError(f"unknown window kind {self.window_kind!r}")
 
     def window_samples(self, sample_rate: int) -> int:
         return int(round(self.window_ms * sample_rate / 1000.0))
@@ -66,12 +63,10 @@ class StftConfig:
         return int(round(self.hop_ms * sample_rate / 1000.0))
 
     def window(self, sample_rate: int) -> np.ndarray:
-        # periodic (DFT-even) variant
+        # periodic (DFT-even) Hamming window
         n = self.window_samples(sample_rate)
         t = 2.0 * np.pi * np.arange(n) / n
-        if self.window_kind == "hamming":
-            return 0.54 - 0.46 * np.cos(t)
-        return 0.5 - 0.5 * np.cos(t)
+        return 0.54 - 0.46 * np.cos(t)
 
 
 @dataclass(frozen=True)

@@ -173,43 +173,44 @@ def build_global_head(
 
 
 class ModelGraph:
-    """Built network with one or more classifier heads, each emitting logits.
+    """Built network: band trunks, optional per-band heads, and a global
+    head over the concatenated trunk outputs; every head emits logits.
 
-    kind is "baseline" (single stack, head "global") or "subspectralnet"
-    (M band trunks with optional per-band heads "sub0".."subM-1" plus the
-    concatenated "global" head).
+    Trunk m reads mel bins bands[m] = (lo, hi) of the (N, C, F, T) input.
+    The band-split net has M crops and, when built with them, per-band
+    heads "sub0".."subM-1". The baseline CNN is the one-band case: one
+    trunk over (0, F), no per-band heads, and a one-layer global head.
+    kind is the model kind recorded in desc.
     """
 
-    def __init__(self, kind: str, desc: dict):
-        self.kind = kind
+    def __init__(
+        self,
+        desc: dict,
+        bands: list[tuple[int, int]],
+        trunks: list[Sequential],
+        sub_heads: list[Sequential],
+        global_head: Sequential,
+    ):
         self.desc = desc
-        self.stack: Sequential | None = None
-        self.cfg: SubSpectralConfig | None = None
-        self.trunks: list[Sequential] = []
-        self.sub_heads: list[Sequential] = []
-        self.global_head: Sequential | None = None
+        self.kind = desc["kind"]
+        self.bands = bands
+        self.trunks = trunks
+        self.sub_heads = sub_heads
+        self.global_head = global_head
         self._features: list[np.ndarray] | None = None
         self._input_shape = None
 
     # -- structure ----------------------------------------------------
 
     def head_names(self) -> list[str]:
-        if self.kind == "baseline":
-            return ["global"]
-        names = ["global"]
-        if self.sub_heads:
-            names += [f"sub{i}" for i in range(len(self.trunks))]
-        return names
+        return ["global"] + [f"sub{i}" for i in range(len(self.sub_heads))]
 
     def band_ranges(self) -> dict[str, tuple[int, int]]:
-        if self.kind == "baseline" or self.cfg is None:
-            return {}
-        return {f"sub{i}": r for i, r in enumerate(self.cfg.crop_ranges())}
+        """The mel-bin range each trunk reads, keyed sub{i}."""
+        return {f"sub{i}": band for i, band in enumerate(self.bands)}
 
     def _sequentials(self) -> list[Sequential]:
-        if self.kind == "baseline":
-            return [self.stack]
-        return self.trunks + self.sub_heads + ([self.global_head] if self.global_head else [])
+        return self.trunks + self.sub_heads + [self.global_head]
 
     def parameters(self) -> list[Parameter]:
         return [p for seq in self._sequentials() for p in seq.params()]
@@ -229,11 +230,10 @@ class ModelGraph:
     # -- compute ------------------------------------------------------
 
     def forward(self, x: np.ndarray, train: bool = False) -> dict[str, np.ndarray]:
+        if x.shape[2] != self.desc["mel_bins"]:
+            raise ValueError(f"input has {x.shape[2]} mel bins, model expects {self.desc['mel_bins']}")
         self._input_shape = x.shape
-        if self.kind == "baseline":
-            return {"global": self.stack.forward(x, train)}
-        crops = split_subspectrograms(x, self.cfg)
-        self._features = [trunk.forward(crop, train) for trunk, crop in zip(self.trunks, crops)]
+        self._features = [trunk.forward(x[:, :, lo:hi, :], train) for trunk, (lo, hi) in zip(self.trunks, self.bands)]
         out = {"global": self.global_head.forward(F.concat(self._features), train)}
         for i, head in enumerate(self.sub_heads):
             out[f"sub{i}"] = head.forward(self._features[i], train)
@@ -249,8 +249,6 @@ class ModelGraph:
         only materialized (and returned) when input_grad is True; training
         never needs it.
         """
-        if self.kind == "baseline":
-            return self.stack.backward(dlogits["global"], input_grad=input_grad)
         widths = [f.shape[1] for f in self._features]
         if "global" in dlogits:
             dfeats = [np.array(d) for d in F.split_widths(self.global_head.backward(dlogits["global"]), widths)]
@@ -261,7 +259,7 @@ class ModelGraph:
             if key in dlogits:
                 dfeats[i] += head.backward(dlogits[key])
         dx = np.zeros(self._input_shape, dtype=dfeats[0].dtype) if input_grad else None
-        for trunk, (lo, hi), dfeat in zip(self.trunks, self.cfg.crop_ranges(), dfeats):
+        for trunk, (lo, hi), dfeat in zip(self.trunks, self.bands, dfeats):
             dcrop = trunk.backward(dfeat, input_grad=input_grad)
             if input_grad:
                 dx[:, :, lo:hi, :] += dcrop
@@ -368,9 +366,8 @@ def build_subspectralnet(
         "dropout": dropout,
         "class_names": list(class_names) if class_names else None,
     }
-    graph = ModelGraph("subspectralnet", desc)
-    graph.cfg = cfg
     rng = philox_rng(seed, STREAM_INIT)
+    trunks, sub_heads = [], []
     for m in range(cfg.crop_count):
         trunk, head = build_subclassifier(
             cfg.sub_size,
@@ -383,13 +380,11 @@ def build_subspectralnet(
             dtype=dtype,
             prefix=f"sub{m}",
         )
-        graph.trunks.append(trunk)
+        trunks.append(trunk)
         if include_sub_heads:
-            graph.sub_heads.append(head)
-    graph.global_head = build_global_head(
-        cfg.crop_count, n_classes=n_classes, head_compat=head_compat, rng=rng, dtype=dtype
-    )
-    return graph
+            sub_heads.append(head)
+    global_head = build_global_head(cfg.crop_count, n_classes=n_classes, head_compat=head_compat, rng=rng, dtype=dtype)
+    return ModelGraph(desc, cfg.crop_ranges(), trunks, sub_heads, global_head)
 
 
 def build_baseline(
@@ -408,6 +403,8 @@ def build_baseline(
     """Reference CNN: two 7x7 conv blocks with (5,5) and (4,time_pool)
     pooling, a 100-unit dense layer, and one logits output.
 
+    It is the one-band graph: a trunk over all mel bins that ends after
+    the 100-unit dense block, and a global head holding the logits layer.
     width_multiplier scales both conv widths (2 doubles them to 64/128).
     """
     if time_pool is None:
@@ -433,8 +430,7 @@ def build_baseline(
         "dropout": dropout,
         "class_names": list(class_names) if class_names else None,
     }
-    graph = ModelGraph("baseline", desc)
-    graph.stack = Sequential(
+    trunk = Sequential(
         [
             Conv2dSame(channels, w1, 7, 7, rng=rng, dtype=dtype, name="base.conv1"),
             BatchNorm2d(w1, dtype=dtype, name="base.bn1"),
@@ -450,10 +446,10 @@ def build_baseline(
             Dense(flat, 100, rng=rng, dtype=dtype, name="base.dense1"),
             ReLU(name="base.relu3"),
             Dropout(dropout, name="base.drop3"),
-            Dense(100, n_classes, rng=rng, dtype=dtype, name="base.dense2"),
         ]
     )
-    return graph
+    global_head = Sequential([Dense(100, n_classes, rng=rng, dtype=dtype, name="base.dense2")])
+    return ModelGraph(desc, [(0, mel_bins)], [trunk], [], global_head)
 
 
 def build_from_description(desc: dict, dtype=np.float32) -> ModelGraph:
@@ -495,6 +491,8 @@ def load_model(path, dtype=np.float32) -> tuple[ModelGraph, dict]:
         graph = build_from_description(desc, dtype=dtype)
     except KeyError as exc:
         raise storage.ContainerError(f"{path}: model description has no {exc} entry") from exc
+    except (TypeError, ValueError) as exc:
+        raise storage.ContainerError(f"{path}: bad model description: {exc}") from exc
     try:
         graph.load_state(tensors)
     except ValueError as exc:

@@ -57,9 +57,6 @@ class Layer:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def out_shape(self, in_shape: tuple) -> tuple:
-        return in_shape
-
     def spec(self) -> dict:
         return {"kind": self.kind, "name": self.name}
 
@@ -94,10 +91,6 @@ class Conv2dSame(Layer):
         self.weight.grad += dw
         self.bias.grad += db
         return dx
-
-    def out_shape(self, in_shape):
-        n, _, h, w = in_shape
-        return (n, self.out_channels, h, w)
 
     def spec(self):
         return {
@@ -206,10 +199,6 @@ class MaxPool2d(Layer):
     def backward(self, dy):
         return F.maxpool2d_backward(dy, self._idx, self._in_shape, *self.pool)
 
-    def out_shape(self, in_shape):
-        n, c, h, w = in_shape
-        return (n, c, h // self.pool[0], w // self.pool[1])
-
     def spec(self):
         return {"kind": self.kind, "name": self.name, "pool": list(self.pool)}
 
@@ -250,10 +239,6 @@ class Flatten(Layer):
     def backward(self, dy):
         return dy.reshape(self._in_shape)
 
-    def out_shape(self, in_shape):
-        n = in_shape[0]
-        return (n, int(np.prod(in_shape[1:])))
-
 
 class Dense(Layer):
     kind = "dense"
@@ -278,9 +263,6 @@ class Dense(Layer):
         self.weight.grad += dw
         self.bias.grad += db
         return dx
-
-    def out_shape(self, in_shape):
-        return (in_shape[0], self.out_features)
 
     def spec(self):
         return {"kind": self.kind, "name": self.name, "in_features": self.in_features, "out_features": self.out_features}
@@ -311,15 +293,3 @@ class Sequential:
 
     def buffers(self):
         return [b for layer in self.layers for b in layer.buffers()]
-
-    def out_shape(self, in_shape):
-        for layer in self.layers:
-            in_shape = layer.out_shape(in_shape)
-        return in_shape
-
-    def shape_trace(self, in_shape) -> list[tuple[str, tuple]]:
-        trace = []
-        for layer in self.layers:
-            in_shape = layer.out_shape(in_shape)
-            trace.append((layer.name or layer.kind, in_shape))
-        return trace

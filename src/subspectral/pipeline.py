@@ -117,7 +117,7 @@ def load_feature_dir(features_dir) -> dict:
     }
 
 
-def analyze_dataset(features_dir, out_dir, *, k: float = 10.0, channel_mode: str = "average") -> dict:
+def analyze_dataset(features_dir, out_dir, *, k: float = 10.0) -> dict:
     """Band-activation analysis over extracted features.
 
     Builds class profiles from the train split, per-bin classification
@@ -129,8 +129,8 @@ def analyze_dataset(features_dir, out_dir, *, k: float = 10.0, channel_mode: str
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     class_names = data["class_names"]
-    profiles = bandstats.class_mean_profiles(data["train_x"], data["train_y"], class_names, channel_mode)
-    hists = bandstats.bin_histograms(data["test_x"], data["test_y"], profiles, channel_mode)
+    profiles = bandstats.class_mean_profiles(data["train_x"], data["train_y"], class_names)
+    hists = bandstats.bin_histograms(data["test_x"], data["test_y"], profiles)
     bandstats.write_histograms_tsv(out_dir / "histograms.tsv", hists)
     for idx, name in enumerate(class_names):
         bandstats.write_class_histogram_tsv(out_dir / f"hist_{name}.tsv", hists, idx)

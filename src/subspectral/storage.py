@@ -4,6 +4,7 @@ Feature container (.ssnf), little-endian:
 
     magic "SSNF" | version u32 | n_samples u32 | C u32 | F u32 | T u32
     then per sample: label_id u32 followed by C*F*T float32, row-major
+    (one packed record per sample, read and written as one array)
 
 Normalizer sidecar, little-endian:
 
@@ -38,6 +39,11 @@ class ContainerError(ValueError):
     """Raised for malformed feature/checkpoint containers."""
 
 
+def _feature_record(c: int, f: int, t: int) -> np.dtype:
+    """One .ssnf sample: its u32 label, then its (C, F, T) float32 data."""
+    return np.dtype([("label", "<u4"), ("x", "<f4", (c, f, t))])
+
+
 def write_features(path, features: np.ndarray, labels) -> None:
     """Write an (N, C, F, T) float32 feature tensor with u32 labels."""
     features = np.asarray(features, dtype=np.float32)
@@ -47,34 +53,30 @@ def write_features(path, features: np.ndarray, labels) -> None:
     if labels.shape != (features.shape[0],):
         raise ValueError(f"{labels.shape[0]} labels for {features.shape[0]} samples")
     n, c, f, t = features.shape
+    records = np.empty(n, dtype=_feature_record(c, f, t))
+    records["label"] = labels
+    records["x"] = features
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<5I", FEATURE_VERSION, n, c, f, t))
-        for i in range(n):
-            fh.write(struct.pack("<I", int(labels[i])))
-            fh.write(np.ascontiguousarray(features[i], dtype="<f4").tobytes())
+        fh.write(records.tobytes())
 
 
 def read_features(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a feature container; returns (features (N,C,F,T) f32, labels u32)."""
     blob = Path(path).read_bytes()
+    if len(blob) < 24:
+        raise ContainerError(f"{path}: {len(blob)} bytes is shorter than the 24-byte header")
     if blob[:4] != FEATURE_MAGIC:
         raise ContainerError(f"{path}: bad magic {blob[:4]!r}")
     version, n, c, f, t = struct.unpack("<5I", blob[4:24])
     if version != FEATURE_VERSION:
         raise ContainerError(f"{path}: unsupported feature container version {version}")
-    sample_bytes = 4 + c * f * t * 4
-    if len(blob) != 24 + n * sample_bytes:
+    record = _feature_record(c, f, t)
+    if len(blob) != 24 + n * record.itemsize:
         raise ContainerError(f"{path}: size {len(blob)} does not match header")
-    labels = np.empty(n, dtype=np.uint32)
-    features = np.empty((n, c, f, t), dtype=np.float32)
-    pos = 24
-    for i in range(n):
-        labels[i] = struct.unpack("<I", blob[pos : pos + 4])[0]
-        pos += 4
-        features[i] = np.frombuffer(blob, dtype="<f4", count=c * f * t, offset=pos).reshape(c, f, t)
-        pos += c * f * t * 4
-    return features, labels
+    records = np.frombuffer(blob, dtype=record, count=n, offset=24)
+    return np.ascontiguousarray(records["x"], dtype=np.float32), records["label"].astype(np.uint32)
 
 
 def write_normalizer(path, norm: BinNormalizer) -> None:
@@ -87,6 +89,8 @@ def write_normalizer(path, norm: BinNormalizer) -> None:
 
 def read_normalizer(path) -> BinNormalizer:
     blob = Path(path).read_bytes()
+    if len(blob) < 8:
+        raise ContainerError(f"{path}: {len(blob)} bytes is shorter than the 8-byte normalizer header")
     c, f = struct.unpack("<2I", blob[:8])
     if len(blob) != 8 + 2 * c * f * 8:
         raise ContainerError(f"{path}: normalizer size does not match header ({c}x{f})")
@@ -104,9 +108,13 @@ def write_class_names(path, names) -> None:
 def read_class_names(path) -> list[str]:
     names = []
     with open(path) as fh:
-        for line in fh:
-            idx, name = line.rstrip("\n").split("\t")
-            if int(idx) != len(names):
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                idx, name = line.rstrip("\n").split("\t")
+                idx = int(idx)
+            except ValueError:
+                raise ContainerError(f"{path}: line {lineno} is not '<class id><TAB><name>'") from None
+            if idx != len(names):
                 raise ContainerError(f"{path}: class ids not contiguous")
             names.append(name)
     return names

@@ -40,7 +40,6 @@ class TrainConfig:
     include_sub_heads: bool = True
     width_multiplier: int = 1
     dropout: float = 0.3
-    eval_batch: int = 64
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -186,10 +185,10 @@ def train_model(
                 total_loss += loss
                 n_batches += 1
             history.epoch_loss.append(total_loss / n_batches)
-            test_report = evaluate_model(graph, test_x, test_y, cfg.eval_batch)
+            test_report = evaluate_model(graph, test_x, test_y)
             for name in graph.head_names():
                 history.test_accuracy[name].append(test_report.accuracy[name])
-            train_report = evaluate_model(graph, train_x, train_y, cfg.eval_batch)
+            train_report = evaluate_model(graph, train_x, train_y)
             history.train_accuracy.append(train_report.accuracy["global"])
             if test_report.accuracy["global"] > history.best_accuracy:
                 history.best_accuracy = test_report.accuracy["global"]
@@ -200,7 +199,7 @@ def train_model(
             best_overall = (history.best_accuracy, run, best_state, graph)
     _, best_run, state, graph = best_overall
     graph.load_state(state)
-    final_report = evaluate_model(graph, test_x, test_y, cfg.eval_batch)
+    final_report = evaluate_model(graph, test_x, test_y)
     average_best = float(np.mean([h.best_accuracy for h in histories]))
     return TrainResult(
         graph=graph,

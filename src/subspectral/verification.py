@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import SubSpectralConfig, build_subclassifier, build_subspectralnet, multi_head_loss
+from .models import ModelGraph, SubSpectralConfig, build_subclassifier, build_subspectralnet, multi_head_loss
 from .nn import functional as F
 from .nn.gradcheck import GradCheckReport, grad_check
 
@@ -150,66 +150,11 @@ def _case_softmax_ce(seed):
     return "softmax_cross_entropy", arrays, loss, grads, None
 
 
-def _graph_arrays(graph, x):
-    return [x] + [p.data for p in graph.parameters()]
-
-
-def _clone_into_f64(build, values):
-    graph = build(np.float64)
-    for p, v in zip(graph.parameters(), values[1:]):
-        p.data[...] = v.astype(np.float64)
-    return graph
-
-
-def _case_subclassifier(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 4))
-    channels = int(rng.choice([1, 2]))
-    frames = int(rng.choice([20, 25]))
-    labels = rng.integers(0, 10, n)
-    x64 = rng.standard_normal((n, channels, 10, frames))
-
-    def build(dtype):
-        trunk, head = build_subclassifier(
-            10, frames, channels, time_pool=frames // 5, dropout=0.0, rng=np.random.default_rng(seed + 1), dtype=dtype, prefix="frag"
-        )
-        return trunk, head
-
-    def loss_for(trunk, head, x):
-        return F.softmax_cross_entropy(head.forward(trunk.forward(x, True), True), labels)[0]
+def _graph_case(name, build, x64, labels):
+    """A model case: the multi-head loss of the graph build(dtype) on x64."""
 
     def make(dtype):
-        trunk, head = build(dtype)
-        params = trunk.params() + head.params()
-        x = x64.astype(dtype)
-
-        def loss():
-            return loss_for(trunk, head, x)
-
-        def grads():
-            l, dlogits = F.softmax_cross_entropy(head.forward(trunk.forward(x, True), True), labels)
-            for p in params:
-                p.grad[...] = 0
-            dfeat = head.backward(dlogits)
-            dx = trunk.backward(dfeat, input_grad=True)
-            return l, [dx] + [p.grad for p in params]
-
-        return x, params, loss, grads
-
-    return "subclassifier_stack", make
-
-
-def _case_multi_head(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 4))
-    channels = int(rng.choice([1, 2]))
-    frames = 20
-    cfg = SubSpectralConfig(mel_bins=20, sub_size=10, hop_size=5)
-    labels = rng.integers(0, 10, n)
-    x64 = rng.standard_normal((n, channels, cfg.mel_bins, frames))
-
-    def make(dtype):
-        graph = build_subspectralnet(cfg, frames, channels, dropout=0.0, seed=seed + 1, dtype=dtype)
+        graph = build(dtype)
         params = graph.parameters()
         x = x64.astype(dtype)
 
@@ -226,7 +171,39 @@ def _case_multi_head(seed):
 
         return x, params, loss, grads
 
-    return "multi_head_loss", make
+    return name, make
+
+
+def _case_subclassifier(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 4))
+    channels = int(rng.choice([1, 2]))
+    frames = int(rng.choice([20, 25]))
+    labels = rng.integers(0, 10, n)
+    x64 = rng.standard_normal((n, channels, 10, frames))
+
+    def build(dtype):
+        trunk, head = build_subclassifier(
+            10, frames, channels, time_pool=frames // 5, dropout=0.0, rng=np.random.default_rng(seed + 1), dtype=dtype, prefix="frag"
+        )
+        return ModelGraph({"kind": "subclassifier", "mel_bins": 10}, [(0, 10)], [trunk], [], head)
+
+    return _graph_case("subclassifier_stack", build, x64, labels)
+
+
+def _case_multi_head(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 4))
+    channels = int(rng.choice([1, 2]))
+    frames = 20
+    cfg = SubSpectralConfig(mel_bins=20, sub_size=10, hop_size=5)
+    labels = rng.integers(0, 10, n)
+    x64 = rng.standard_normal((n, channels, cfg.mel_bins, frames))
+
+    def build(dtype):
+        return build_subspectralnet(cfg, frames, channels, dropout=0.0, seed=seed + 1, dtype=dtype)
+
+    return _graph_case("multi_head_loss", build, x64, labels)
 
 
 def _check_functional(case_fn, seed, dtype, coords=6) -> SuiteEntry:

@@ -38,6 +38,44 @@ def dimension_oracle_subclassifier(sub_size, frames, channels, time_pool):
     return shapes
 
 
+def _spec(kind, name, **fields):
+    return dict(kind=kind, name=name, **fields)
+
+
+def _dense_spec(name, d_in, d_out):
+    return _spec("dense", name, in_features=d_in, out_features=d_out)
+
+
+def _trunk_specs(p, in_channels, pool1, flat, dense_out):
+    """Header layer specs of one conv trunk (32/64 kernels), in order."""
+    return [
+        _spec("conv2d", f"{p}.conv1", in_channels=in_channels, out_channels=32, kernel=[7, 7]),
+        _spec("batchnorm", f"{p}.bn1", channels=32, eps=0.001, momentum=0.99),
+        _spec("relu", f"{p}.relu1"),
+        _spec("maxpool", f"{p}.pool1", pool=pool1),
+        _spec("dropout", f"{p}.drop1", rate=0.3),
+        _spec("conv2d", f"{p}.conv2", in_channels=32, out_channels=64, kernel=[7, 7]),
+        _spec("batchnorm", f"{p}.bn2", channels=64, eps=0.001, momentum=0.99),
+        _spec("relu", f"{p}.relu2"),
+        _spec("maxpool", f"{p}.pool2", pool=[4, 10]),
+        _spec("dropout", f"{p}.drop2", rate=0.3),
+        _spec("flatten", f"{p}.flatten"),
+        _dense_spec(f"{p}.dense1", flat, dense_out),
+        _spec("relu", f"{p}.relu3"),
+        _spec("dropout", f"{p}.drop3", rate=0.3),
+    ]
+
+
+def _trunk_params(prefix):
+    layers = (("conv1", "weight", "bias"), ("bn1", "gamma", "beta"), ("conv2", "weight", "bias"), ("bn2", "gamma", "beta"))
+    layers += (("dense1", "weight", "bias"),)
+    return [f"{prefix}.{layer}.{t}" for layer, *tensors in layers for t in tensors]
+
+
+def _trunk_buffers(prefix):
+    return [f"{prefix}.{bn}.{b}" for bn in ("bn1", "bn2") for b in ("running_mean", "running_var", "batches_seen")]
+
+
 class TestSplitConfig:
     def test_paper_geometry_40_20_10(self):
         cfg = SubSpectralConfig(40, 20, 10)
@@ -167,19 +205,10 @@ class TestShapeTraces:
         graph = build_baseline(200, 500, 2, dropout=0.0)
         x = np.zeros((1, 2, 200, 500), dtype=np.float32)
         h = x
-        for layer in graph.stack.layers:
+        for layer in graph.trunks[0].layers:
             h = layer.forward(h, train=True)
             if layer.name.endswith("flatten"):
                 assert h.shape == (1, 640)  # 64 * (200/5/4) * (500/5/100)
-
-    def test_out_shape_methods_agree_with_forward(self):
-        trunk, head = build_subclassifier(20, 500, 2, dropout=0.0)
-        x = np.zeros((3, 2, 20, 500), dtype=np.float32)
-        h = x
-        for layer in trunk.layers:
-            predicted = layer.out_shape(h.shape)
-            h = layer.forward(h, train=True)
-            assert h.shape == predicted
 
 
 class TestParameterCounts:
@@ -223,8 +252,9 @@ class TestParameterCounts:
 
     def test_empty_graph_is_zero(self):
         from subspectral.models import ModelGraph
+        from subspectral.nn.layers import Sequential
 
-        graph = ModelGraph("subspectralnet", {})
+        graph = ModelGraph({"kind": "subspectralnet"}, [], [], [], Sequential([]))
         assert count_params(graph) == 0
 
     def test_layer_table_total_matches(self):
@@ -370,6 +400,33 @@ class TestCheckpointRoundTrip:
         expected = predict_probs(graph, x)
         for name, probs in predict_probs(loaded, x).items():
             np.testing.assert_array_equal(probs, expected[name])
+
+    def test_saved_tensor_order_and_layer_list_are_pinned(self, tmp_path):
+        # checkpoint bytes follow this order; a restructure must keep it
+        bands = [f"sub{m}" for m in range(3)]
+        cases = [
+            (
+                build_baseline(40, 50, 2),
+                _trunk_params("base") + ["base.dense2.weight", "base.dense2.bias"] + _trunk_buffers("base"),
+                _trunk_specs("base", 2, [5, 5], 128, 100) + [_dense_spec("base.dense2", 100, 10)],
+            ),
+            (
+                build_subspectralnet(SubSpectralConfig(40, 20, 10), 50, 2),
+                [n for b in bands for n in _trunk_params(b)]
+                + [f"{b}.head.{t}" for b in bands for t in ("weight", "bias")]
+                + ["global.out.weight", "global.out.bias"]
+                + [n for b in bands for n in _trunk_buffers(b)],
+                [spec for b in bands for spec in _trunk_specs(b, 2, [2, 5], 128, 32)]
+                + [_dense_spec(f"{b}.head", 32, 10) for b in bands]
+                + [_dense_spec("global.out", 96, 10)],
+            ),
+        ]
+        for graph, tensor_names, layers in cases:
+            path = tmp_path / f"{graph.kind}.ssnw"
+            graph.save(path)
+            desc, tensors, _ = read_checkpoint(path)
+            assert list(tensors) == tensor_names
+            assert desc["layers"] == layers
 
     def test_eval_before_training_errors(self):
         graph = build_baseline(40, 50, 2, time_pool=10)

@@ -7,7 +7,7 @@ import pytest
 
 from subspectral.cli import main
 from subspectral.pipeline import analyze_dataset, extract_dataset, load_feature_dir
-from subspectral.storage import read_features
+from subspectral.storage import read_checkpoint, read_features, write_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +180,15 @@ class TestCli:
         code = main(["predict", "--checkpoint", str(damaged), "--features", str(feat / "test.ssnf")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_predict_with_mistyped_description_value_exits_1(self, cli_dirs, tmp_path, capsys):
+        _, feat, run = cli_dirs
+        desc, tensors, _ = read_checkpoint(run / "model.ssnw")
+        damaged = tmp_path / "model.ssnw"
+        write_checkpoint(damaged, dict(desc, mel_bins=str(desc["mel_bins"])), [(n, "param", v) for n, v in tensors.items()])
+        code = main(["predict", "--checkpoint", str(damaged), "--features", str(feat / "test.ssnf")])
+        assert code == 1
+        assert str(damaged) in capsys.readouterr().err
 
     def test_extract_pair_manifests(self, tmp_path):
         from subspectral.data import synth_fixture, write_manifest

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from subspectral.features import BinNormalizer
-from subspectral.models import load_model
+from subspectral.models import build_baseline, load_model
 from subspectral.storage import (
     ContainerError,
     read_checkpoint,
@@ -46,6 +46,13 @@ class TestFeatureContainer:
         np.testing.assert_array_equal(x, x2)
         np.testing.assert_array_equal(labels, labels2)
 
+    def test_read_gives_contiguous_float32_and_uint32(self, tmp_path, rng):
+        path = tmp_path / "f.ssnf"
+        write_features(path, rng.standard_normal((3, 2, 4, 5)), np.array([1, 2, 3]))
+        x, labels = read_features(path)
+        assert x.dtype == np.float32 and x.flags.c_contiguous and x.flags.writeable
+        assert labels.dtype == np.uint32 and labels.flags.writeable
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ssnf"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
@@ -59,6 +66,15 @@ class TestFeatureContainer:
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ContainerError, match="size"):
             read_features(path)
+
+    def test_cut_header_raises_container_error(self, tmp_path, rng):
+        path = tmp_path / "f.ssnf"
+        write_features(path, rng.standard_normal((2, 1, 2, 3)), np.array([0, 1]))
+        blob = path.read_bytes()
+        for size in range(24):
+            path.write_bytes(blob[:size])
+            with pytest.raises(ContainerError, match=re.escape(str(path))):
+                read_features(path)
 
     def test_label_count_mismatch(self, tmp_path, rng):
         with pytest.raises(ValueError, match="labels"):
@@ -83,6 +99,15 @@ class TestNormalizerSidecar:
         with pytest.raises(ContainerError):
             read_normalizer(path)
 
+    def test_cut_header_raises_container_error(self, tmp_path):
+        path = tmp_path / "norm.bin"
+        write_normalizer(path, BinNormalizer(mean=np.zeros((1, 2)), std=np.ones((1, 2))))
+        blob = path.read_bytes()
+        for size in range(8):
+            path.write_bytes(blob[:size])
+            with pytest.raises(ContainerError, match=re.escape(str(path))):
+                read_normalizer(path)
+
 
 class TestClassNames:
     def test_roundtrip(self, tmp_path):
@@ -95,6 +120,13 @@ class TestClassNames:
         path = tmp_path / "labels.tsv"
         path.write_text("0\ta\n2\tb\n")
         with pytest.raises(ContainerError, match="contiguous"):
+            read_class_names(path)
+
+    @pytest.mark.parametrize("text", ["0\n", "0 airport\n", "0\tairport\n1", "x\tairport\n", "0\ta\tb\n"])
+    def test_malformed_line_raises_container_error(self, tmp_path, text):
+        path = tmp_path / "labels.tsv"
+        path.write_text(text)
+        with pytest.raises(ContainerError, match=re.escape(str(path))):
             read_class_names(path)
 
 
@@ -147,6 +179,7 @@ class TestCheckpoint:
             "renamed_model_key",
             "renamed_shape_key",
             "renamed_kind_key",
+            "mel_bins_as_string",
         ],
     )
     def test_malformed_file_raises_container_error(self, tmp_path, rng, damage):
@@ -162,11 +195,15 @@ class TestCheckpoint:
             blob[8] ^= 0x80  # '{' becomes a byte that is not valid utf-8
         elif damage == "header_cut_short":
             blob[4:8] = struct.pack("<I", header_len - 7)
+        elif damage == "mel_bins_as_string":
+            desc = dict(build_baseline(40, 50, 2).describe(), mel_bins="40")
+            write_checkpoint(path, desc, [])
+            blob = path.read_bytes()
         else:  # a one-letter change that leaves the header valid JSON
             key = damage.split("_")[1].encode()
             blob = blob.replace(b'"%s"' % key, b'"%s"' % (key[:-1] + b"_"), 1)
         path.write_bytes(bytes(blob))
         # the model description is only read when the graph is rebuilt
-        reader = load_model if damage == "renamed_kind_key" else read_checkpoint
+        reader = load_model if damage in ("renamed_kind_key", "mel_bins_as_string") else read_checkpoint
         with pytest.raises(ContainerError, match=re.escape(str(path))):
             reader(path)
