@@ -5,6 +5,8 @@ Builds a tiny synthetic corpus, walks one clip through the frontend, and
 shows that bin-wise normalization standardizes the training split.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -20,7 +22,8 @@ from subspectral.features import (
 )
 
 work = Path(tempfile.mkdtemp(prefix="subspectral_demo_"))
-print(f"working under {work}\n")
+atexit.register(shutil.rmtree, work)
+print(f"working under {work} (removed at exit)\n")
 
 # Three classes of band-limited noise, one second each, stereo 48 kHz.
 manifest = synth_fixture(3, 3, work, seconds=1.0, seed=1)

@@ -9,6 +9,8 @@ max-normalize -> 1-x, resemble a confusion matrix (large off-diagonal
 value = easily confused pair).
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from subspectral.data import synth_fixture
 from subspectral.pipeline import analyze_dataset, extract_dataset
 
 work = Path(tempfile.mkdtemp(prefix="subspectral_demo_"))
+atexit.register(shutil.rmtree, work)
 
 # Ten band-limited classes; the last two ("band08", "band09") share 40% of
 # their frequency band, so their mean activation profiles are the most
@@ -45,4 +48,4 @@ for metric, matrix in artifacts["matrices"].items():
     for name, row in zip(hists.class_ids, matrix.values):
         print(f"  {name}  " + " ".join(f"{v:6.3f}" for v in row))
 
-print(f"\nTSV artifacts written under {work / 'analysis'}")
+print(f"\nTSV artifacts written under {work / 'analysis'} (removed at exit)")

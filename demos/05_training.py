@@ -6,6 +6,8 @@ reports per-head accuracies: each sub-classifier can only separate the
 classes whose bands intersect its crop, so the global head should win.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from subspectral.pipeline import extract_dataset, load_feature_dir
 from subspectral.training import TrainConfig, train_model
 
 work = Path(tempfile.mkdtemp(prefix="subspectral_demo_"))
+atexit.register(shutil.rmtree, work)
 manifest = synth_fixture(10, 6, work / "fix", test_per_class=3, seconds=1.0, seed=11)
 extract_dataset(manifest, work / "fix", work / "feat", mel_bins=40)
 data = load_feature_dir(work / "feat")
@@ -33,11 +36,11 @@ for epoch in range(0, cfg.epochs, 5):
 
 print(f"\nbest global test accuracy {history.best_accuracy:.2f} at epoch {history.best_epoch}")
 print("\nper-head accuracy at the saved checkpoint (bands in mel bins):")
-bands = result.graph.band_ranges()
+bands = {f"sub{i}": band for i, band in enumerate(result.graph.bands)}
 for head, acc in result.final_report.accuracy.items():
     band = f" bins {bands[head]}" if head in bands else ""
     print(f"  {head:<8}{acc:.2f}{band}")
 
 ckpt = work / "model.ssnw"
 result.graph.save(ckpt, meta={"best_accuracy": history.best_accuracy})
-print(f"\ncheckpoint written to {ckpt}")
+print(f"\ncheckpoint written to {ckpt} (removed at exit)")

@@ -33,12 +33,12 @@ from .models import (
     ModelGraph,
     SubSpectralConfig,
     build_baseline,
-    build_global_head,
-    build_subclassifier,
+    build_model,
     build_subspectralnet,
     count_params,
     global_head_widths,
     load_model,
+    model_description,
     multi_head_loss,
     split_subspectrograms,
 )

@@ -15,13 +15,7 @@ import numpy as np
 
 from . import pipeline, storage
 from .data import parse_manifest, parse_manifest_pair, synth_fixture
-from .models import (
-    SubSpectralConfig,
-    build_baseline,
-    build_subspectralnet,
-    count_params,
-    load_model,
-)
+from .models import KIND_OPTIONS, build_model, count_params, load_model, model_description
 from .training import (
     TrainConfig,
     evaluate_model,
@@ -35,14 +29,23 @@ from .verification import run_gradient_suite
 
 
 def _add_model_flags(p: argparse.ArgumentParser):
-    p.add_argument("--model", choices=["subspectralnet", "baseline"], default="subspectralnet")
-    p.add_argument("--mel-bins", type=int, default=40, help="spectrogram height F")
+    p.add_argument("--model", choices=list(KIND_OPTIONS), default="subspectralnet")
     p.add_argument("--sub-size", type=int, default=20, help="band crop height X")
     p.add_argument("--hop-size", type=int, default=10, help="vertical band hop Y")
     p.add_argument("--head-compat", action="store_true", help="size the global head to match the published parameter count")
     p.add_argument("--no-sub-loss", action="store_true", help="drop the per-band heads; train the global head only")
     p.add_argument("--width-mult", type=int, default=1, help="baseline conv width multiplier")
-    p.add_argument("--channels", choices=["mono", "stereo"], default="stereo")
+
+
+def _model_options(args) -> dict:
+    """The model options (models.KIND_OPTIONS) the model flags set."""
+    return {
+        "sub_size": args.sub_size,
+        "hop_size": args.hop_size,
+        "head_compat": args.head_compat,
+        "include_sub_heads": not args.no_sub_loss,
+        "width_multiplier": args.width_mult,
+    }
 
 
 def cmd_synth(args) -> int:
@@ -102,11 +105,7 @@ def _train_config(args) -> TrainConfig:
         seed=args.seed,
         repeats=args.repeats,
         model=args.model,
-        sub_size=args.sub_size,
-        hop_size=args.hop_size,
-        head_compat=args.head_compat,
-        include_sub_heads=not args.no_sub_loss,
-        width_multiplier=args.width_mult,
+        **_model_options(args),
     )
 
 
@@ -176,17 +175,7 @@ def cmd_predict(args) -> int:
 
 def cmd_paramcount(args) -> int:
     channels = 2 if args.channels == "stereo" else 1
-    if args.model == "baseline":
-        graph = build_baseline(args.mel_bins, args.frames, channels, width_multiplier=args.width_mult)
-    else:
-        cfg = SubSpectralConfig(args.mel_bins, args.sub_size, args.hop_size)
-        graph = build_subspectralnet(
-            cfg,
-            args.frames,
-            channels,
-            head_compat=args.head_compat,
-            include_sub_heads=not args.no_sub_loss,
-        )
+    graph = build_model(model_description(args.model, args.mel_bins, args.frames, channels, **_model_options(args)))
     print("layer\tkind\tparams")
     for row in graph.layer_table():
         print(f"{row['name']}\t{row['kind']}\t{row['params']}")
@@ -273,7 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("paramcount", help="per-layer trainable parameter table")
+    p.add_argument("--mel-bins", type=int, default=40, help="spectrogram height F")
     p.add_argument("--frames", type=int, default=500)
+    p.add_argument("--channels", choices=["mono", "stereo"], default="stereo")
     _add_model_flags(p)
     p.set_defaults(fn=cmd_paramcount)
 

@@ -1,6 +1,9 @@
-"""Model builders: band-split network, its global head, and the baseline CNN.
+"""Model builders: the band-split network and the baseline CNN.
 
-The band-split model crops the input spectrogram into overlapping
+A model description (model_description) is the one input to graph
+construction: build_model reads it, and checkpoint headers store it.
+Both networks are made of the same conv trunk (_conv_trunk). The
+band-split model crops the input spectrogram into overlapping
 horizontal bands, runs one small CNN ("sub-classifier") per band, and
 feeds the concatenated 32-unit band features into a dense global head.
 Every sub-classifier keeps its own classifier head so each band learns to
@@ -35,6 +38,15 @@ from .seeding import STREAM_INIT, philox_rng
 N_CLASSES = 10
 FEATURE_WIDTH = 32  # per-band feature size feeding the global head
 DEFAULT_TIME_POOL = 100
+
+# The options of each model kind. A model description holds kind,
+# n_classes, channels, frames and mel_bins, then its kind's options, then
+# time_pool, dropout and class_names; checkpoint headers store it in that
+# order.
+KIND_OPTIONS = {
+    "baseline": ("width_multiplier",),
+    "subspectralnet": ("sub_size", "hop_size", "head_compat", "include_sub_heads"),
+}
 
 
 @dataclass(frozen=True)
@@ -91,85 +103,43 @@ def global_head_widths(crop_count: int, head_compat: bool = False) -> list[int]:
     return [2 ** (6 + hidden - i) for i in range(1, hidden + 1)]
 
 
-def _check_pool(name: str, value: int, available: int, what: str):
-    if value > available:
-        raise ValueError(f"{name}: pool size {value} exceeds available {what} extent {available}")
+def _check_pool(prefix: str, pool: tuple[int, int], extent: tuple[int, int]):
+    for what, size, available in zip(("frequency", "time"), pool, extent):
+        if size > available:
+            raise ValueError(f"{prefix}: pool size {size} exceeds available {what} extent {available}")
 
 
-def build_subclassifier(
-    sub_size: int,
-    frames: int,
-    channels: int,
-    *,
-    n_classes: int = N_CLASSES,
-    time_pool: int = DEFAULT_TIME_POOL,
-    dropout: float = 0.3,
-    rng=None,
-    dtype=np.float32,
-    prefix: str = "sub",
-) -> tuple[Sequential, Sequential]:
-    """One band CNN: trunk ending at the 32-unit band features, plus its
-    classifier head.
+def _conv_trunk(prefix, c_in, in_size, widths, pool1, dense_width, *, time_pool, dropout, rng, dtype) -> Sequential:
+    """The conv trunk both networks are made of, over (c_in, *in_size) inputs.
 
-    Stack: conv(32, 7x7, same) -> BN -> ReLU -> pool(sub_size/10, 5) ->
-    dropout -> conv(64, 7x7, same) -> BN -> ReLU -> pool(4, time_pool) ->
-    dropout -> flatten -> dense(32) -> ReLU -> dropout, then
-    dense(n_classes) as the head, which emits logits.
+    Stack: conv(widths[0], 7x7, same) -> BN -> ReLU -> pool1 -> dropout ->
+    conv(widths[1], 7x7, same) -> BN -> ReLU -> pool(4, time_pool) ->
+    dropout -> flatten -> dense(dense_width) -> ReLU -> dropout.
     """
-    if sub_size % 10 != 0:
-        raise ValueError(f"{prefix}: sub_size {sub_size} not divisible by 10")
-    rng = rng or philox_rng(0, STREAM_INIT)
-    pool1 = (sub_size // 10, 5)
-    _check_pool(prefix, pool1[1], frames, "time")
-    freq1, time1 = sub_size // pool1[0], frames // pool1[1]
+    w1, w2 = widths
     pool2 = (4, time_pool)
-    _check_pool(prefix, pool2[0], freq1, "frequency")
-    _check_pool(prefix, pool2[1], time1, "time")
-    freq2, time2 = freq1 // pool2[0], time1 // pool2[1]
-    flat = 64 * freq2 * time2
-
-    trunk = Sequential(
+    _check_pool(prefix, pool1, in_size)
+    freq, time = in_size[0] // pool1[0], in_size[1] // pool1[1]
+    _check_pool(prefix, pool2, (freq, time))
+    flat = w2 * (freq // pool2[0]) * (time // pool2[1])
+    return Sequential(
         [
-            Conv2dSame(channels, 32, 7, 7, rng=rng, dtype=dtype, name=f"{prefix}.conv1"),
-            BatchNorm2d(32, dtype=dtype, name=f"{prefix}.bn1"),
+            Conv2dSame(c_in, w1, 7, 7, rng=rng, dtype=dtype, name=f"{prefix}.conv1"),
+            BatchNorm2d(w1, dtype=dtype, name=f"{prefix}.bn1"),
             ReLU(name=f"{prefix}.relu1"),
             MaxPool2d(*pool1, name=f"{prefix}.pool1"),
             Dropout(dropout, name=f"{prefix}.drop1"),
-            Conv2dSame(32, 64, 7, 7, rng=rng, dtype=dtype, name=f"{prefix}.conv2"),
-            BatchNorm2d(64, dtype=dtype, name=f"{prefix}.bn2"),
+            Conv2dSame(w1, w2, 7, 7, rng=rng, dtype=dtype, name=f"{prefix}.conv2"),
+            BatchNorm2d(w2, dtype=dtype, name=f"{prefix}.bn2"),
             ReLU(name=f"{prefix}.relu2"),
             MaxPool2d(*pool2, name=f"{prefix}.pool2"),
             Dropout(dropout, name=f"{prefix}.drop2"),
             Flatten(name=f"{prefix}.flatten"),
-            Dense(flat, FEATURE_WIDTH, rng=rng, dtype=dtype, name=f"{prefix}.dense1"),
+            Dense(flat, dense_width, rng=rng, dtype=dtype, name=f"{prefix}.dense1"),
             ReLU(name=f"{prefix}.relu3"),
             Dropout(dropout, name=f"{prefix}.drop3"),
         ]
     )
-    head = Sequential([Dense(FEATURE_WIDTH, n_classes, rng=rng, dtype=dtype, name=f"{prefix}.head")])
-    return trunk, head
-
-
-def build_global_head(
-    crop_count: int,
-    *,
-    n_classes: int = N_CLASSES,
-    head_compat: bool = False,
-    rng=None,
-    dtype=np.float32,
-    prefix: str = "global",
-) -> Sequential:
-    """Dense stack over the concatenated band features (width 32*M),
-    ending in n_classes logits."""
-    rng = rng or philox_rng(0, STREAM_INIT)
-    width = FEATURE_WIDTH * crop_count
-    layers = []
-    for i, hidden in enumerate(global_head_widths(crop_count, head_compat), start=1):
-        layers.append(Dense(width, hidden, rng=rng, dtype=dtype, name=f"{prefix}.dense{i}"))
-        layers.append(ReLU(name=f"{prefix}.relu{i}"))
-        width = hidden
-    layers.append(Dense(width, n_classes, rng=rng, dtype=dtype, name=f"{prefix}.out"))
-    return Sequential(layers)
 
 
 class ModelGraph:
@@ -204,10 +174,6 @@ class ModelGraph:
 
     def head_names(self) -> list[str]:
         return ["global"] + [f"sub{i}" for i in range(len(self.sub_heads))]
-
-    def band_ranges(self) -> dict[str, tuple[int, int]]:
-        """The mel-bin range each trunk reads, keyed sub{i}."""
-        return {f"sub{i}": band for i, band in enumerate(self.bands)}
 
     def _sequentials(self) -> list[Sequential]:
         return self.trunks + self.sub_heads + [self.global_head]
@@ -330,6 +296,96 @@ def multi_head_loss(head_logits: dict[str, np.ndarray], labels: np.ndarray):
     return loss, dlogits
 
 
+def _description_keys(kind: str) -> list[str]:
+    if kind not in KIND_OPTIONS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return ["kind", "n_classes", "channels", "frames", "mel_bins", *KIND_OPTIONS[kind], "time_pool", "dropout", "class_names"]
+
+
+def model_description(
+    kind: str,
+    mel_bins: int,
+    frames: int,
+    channels: int,
+    *,
+    n_classes: int = N_CLASSES,
+    time_pool: int | None = None,
+    dropout: float = 0.3,
+    class_names=None,
+    **options,
+) -> dict:
+    """The description of a kind model over (channels, mel_bins, frames)
+    inputs, which build_model reads and checkpoint headers store.
+
+    options must hold the kind's options (KIND_OPTIONS); those of the
+    other kind are ignored, so one set of flags or config fields serves
+    every kind. time_pool defaults to min(100, frames // 5).
+    """
+    keys = _description_keys(kind)
+    unknown = set(options).difference(*KIND_OPTIONS.values())
+    if unknown:
+        raise TypeError(f"unknown model options {sorted(unknown)}")
+    values = dict(options)
+    values.update(
+        kind=kind,
+        n_classes=n_classes,
+        channels=channels,
+        frames=frames,
+        mel_bins=mel_bins,
+        time_pool=min(DEFAULT_TIME_POOL, frames // 5) if time_pool is None else time_pool,
+        dropout=dropout,
+        class_names=list(class_names) if class_names else None,
+    )
+    return {key: values[key] for key in keys}
+
+
+def build_model(desc: dict, seed: int = 0, dtype=np.float32) -> ModelGraph:
+    """Build the untrained graph a model description (model_description,
+    or the "model" object of a checkpoint header) describes; seed keys
+    the weight init. Raises KeyError for a missing description key.
+
+    The baseline CNN is the one-band graph: a trunk over all mel bins
+    ending after a 100-unit dense block, with width_multiplier scaling
+    both conv widths, and a global head holding the logits layer. The
+    band-split net runs one trunk per crop of SubSpectralConfig(mel_bins,
+    sub_size, hop_size), each ending at 32 band features with its own
+    logits head "sub{m}", and a global head over the concatenated band
+    features. include_sub_heads=False leaves the per-band heads out of
+    the graph (~990 fewer parameters for M = 3); each is still built, so
+    the init draws, and with them all other tensors, match the full graph.
+    """
+    kind = desc["kind"]
+    desc = {key: desc[key] for key in _description_keys(kind)}
+    n_classes, channels, frames, mel_bins = desc["n_classes"], desc["channels"], desc["frames"], desc["mel_bins"]
+    rng = philox_rng(seed, STREAM_INIT)
+    block = dict(time_pool=desc["time_pool"], dropout=desc["dropout"], rng=rng, dtype=dtype)
+
+    def dense(d_in, d_out, name):
+        return Dense(d_in, d_out, rng=rng, dtype=dtype, name=name)
+
+    if kind == "baseline":
+        if mel_bins % 5 != 0 or (mel_bins // 5) % 4 != 0:
+            raise ValueError(f"mel_bins {mel_bins} must divide by 5 and then by 4 for the pooling stack")
+        widths = (32 * desc["width_multiplier"], 64 * desc["width_multiplier"])
+        trunk = _conv_trunk("base", channels, (mel_bins, frames), widths, (5, 5), 100, **block)
+        return ModelGraph(desc, [(0, mel_bins)], [trunk], [], Sequential([dense(100, n_classes, "base.dense2")]))
+
+    cfg = SubSpectralConfig(mel_bins, desc["sub_size"], desc["hop_size"])
+    pool1 = (cfg.sub_size // 10, 5)
+    trunks, sub_heads = [], []
+    for m in range(cfg.crop_count):
+        trunks.append(_conv_trunk(f"sub{m}", channels, (cfg.sub_size, frames), (32, 64), pool1, FEATURE_WIDTH, **block))
+        head = Sequential([dense(FEATURE_WIDTH, n_classes, f"sub{m}.head")])
+        if desc["include_sub_heads"]:
+            sub_heads.append(head)
+    layers, width = [], FEATURE_WIDTH * cfg.crop_count
+    for i, hidden in enumerate(global_head_widths(cfg.crop_count, desc["head_compat"]), start=1):
+        layers += [dense(width, hidden, f"global.dense{i}"), ReLU(name=f"global.relu{i}")]
+        width = hidden
+    layers.append(dense(width, n_classes, "global.out"))
+    return ModelGraph(desc, cfg.crop_ranges(), trunks, sub_heads, Sequential(layers))
+
+
 def build_subspectralnet(
     cfg: SubSpectralConfig,
     frames: int,
@@ -344,47 +400,23 @@ def build_subspectralnet(
     dtype=np.float32,
     class_names=None,
 ) -> ModelGraph:
-    """Band-split network: M sub-classifiers plus the global head.
-
-    include_sub_heads=False drops the per-band heads from the graph
-    entirely (the "global head only" variant, ~990 fewer parameters
-    for M = 3).
-    """
-    if time_pool is None:
-        time_pool = min(DEFAULT_TIME_POOL, frames // 5)
-    desc = {
-        "kind": "subspectralnet",
-        "n_classes": n_classes,
-        "channels": channels,
-        "frames": frames,
-        "mel_bins": cfg.mel_bins,
-        "sub_size": cfg.sub_size,
-        "hop_size": cfg.hop_size,
-        "head_compat": head_compat,
-        "include_sub_heads": include_sub_heads,
-        "time_pool": time_pool,
-        "dropout": dropout,
-        "class_names": list(class_names) if class_names else None,
-    }
-    rng = philox_rng(seed, STREAM_INIT)
-    trunks, sub_heads = [], []
-    for m in range(cfg.crop_count):
-        trunk, head = build_subclassifier(
-            cfg.sub_size,
-            frames,
-            channels,
-            n_classes=n_classes,
-            time_pool=time_pool,
-            dropout=dropout,
-            rng=rng,
-            dtype=dtype,
-            prefix=f"sub{m}",
-        )
-        trunks.append(trunk)
-        if include_sub_heads:
-            sub_heads.append(head)
-    global_head = build_global_head(cfg.crop_count, n_classes=n_classes, head_compat=head_compat, rng=rng, dtype=dtype)
-    return ModelGraph(desc, cfg.crop_ranges(), trunks, sub_heads, global_head)
+    """Band-split network over cfg's crops: M band trunks with their
+    heads, plus the global head (build_model)."""
+    desc = model_description(
+        "subspectralnet",
+        cfg.mel_bins,
+        frames,
+        channels,
+        n_classes=n_classes,
+        time_pool=time_pool,
+        dropout=dropout,
+        class_names=class_names,
+        sub_size=cfg.sub_size,
+        hop_size=cfg.hop_size,
+        head_compat=head_compat,
+        include_sub_heads=include_sub_heads,
+    )
+    return build_model(desc, seed, dtype)
 
 
 def build_baseline(
@@ -401,86 +433,21 @@ def build_baseline(
     class_names=None,
 ) -> ModelGraph:
     """Reference CNN: two 7x7 conv blocks with (5,5) and (4,time_pool)
-    pooling, a 100-unit dense layer, and one logits output.
-
-    It is the one-band graph: a trunk over all mel bins that ends after
-    the 100-unit dense block, and a global head holding the logits layer.
+    pooling, a 100-unit dense layer, and one logits output (build_model).
     width_multiplier scales both conv widths (2 doubles them to 64/128).
     """
-    if time_pool is None:
-        time_pool = min(DEFAULT_TIME_POOL, frames // 5)
-    if mel_bins % 5 != 0 or (mel_bins // 5) % 4 != 0:
-        raise ValueError(f"mel_bins {mel_bins} must divide by 5 and then by 4 for the pooling stack")
-    w1, w2 = 32 * width_multiplier, 64 * width_multiplier
-    freq1, time1 = mel_bins // 5, frames // 5
-    _check_pool("baseline", 5, frames, "time")
-    _check_pool("baseline", time_pool, time1, "time")
-    freq2, time2 = freq1 // 4, time1 // time_pool
-    flat = w2 * freq2 * time2
-
-    rng = philox_rng(seed, STREAM_INIT)
-    desc = {
-        "kind": "baseline",
-        "n_classes": n_classes,
-        "channels": channels,
-        "frames": frames,
-        "mel_bins": mel_bins,
-        "width_multiplier": width_multiplier,
-        "time_pool": time_pool,
-        "dropout": dropout,
-        "class_names": list(class_names) if class_names else None,
-    }
-    trunk = Sequential(
-        [
-            Conv2dSame(channels, w1, 7, 7, rng=rng, dtype=dtype, name="base.conv1"),
-            BatchNorm2d(w1, dtype=dtype, name="base.bn1"),
-            ReLU(name="base.relu1"),
-            MaxPool2d(5, 5, name="base.pool1"),
-            Dropout(dropout, name="base.drop1"),
-            Conv2dSame(w1, w2, 7, 7, rng=rng, dtype=dtype, name="base.conv2"),
-            BatchNorm2d(w2, dtype=dtype, name="base.bn2"),
-            ReLU(name="base.relu2"),
-            MaxPool2d(4, time_pool, name="base.pool2"),
-            Dropout(dropout, name="base.drop2"),
-            Flatten(name="base.flatten"),
-            Dense(flat, 100, rng=rng, dtype=dtype, name="base.dense1"),
-            ReLU(name="base.relu3"),
-            Dropout(dropout, name="base.drop3"),
-        ]
+    desc = model_description(
+        "baseline",
+        mel_bins,
+        frames,
+        channels,
+        n_classes=n_classes,
+        time_pool=time_pool,
+        dropout=dropout,
+        class_names=class_names,
+        width_multiplier=width_multiplier,
     )
-    global_head = Sequential([Dense(100, n_classes, rng=rng, dtype=dtype, name="base.dense2")])
-    return ModelGraph(desc, [(0, mel_bins)], [trunk], [], global_head)
-
-
-def build_from_description(desc: dict, dtype=np.float32) -> ModelGraph:
-    """Reconstruct an untrained graph matching a checkpoint header."""
-    if desc["kind"] == "baseline":
-        return build_baseline(
-            desc["mel_bins"],
-            desc["frames"],
-            desc["channels"],
-            n_classes=desc["n_classes"],
-            width_multiplier=desc["width_multiplier"],
-            time_pool=desc["time_pool"],
-            dropout=desc.get("dropout", 0.3),
-            dtype=dtype,
-            class_names=desc.get("class_names"),
-        )
-    if desc["kind"] == "subspectralnet":
-        cfg = SubSpectralConfig(desc["mel_bins"], desc["sub_size"], desc["hop_size"])
-        return build_subspectralnet(
-            cfg,
-            desc["frames"],
-            desc["channels"],
-            n_classes=desc["n_classes"],
-            head_compat=desc["head_compat"],
-            include_sub_heads=desc["include_sub_heads"],
-            time_pool=desc["time_pool"],
-            dropout=desc.get("dropout", 0.3),
-            dtype=dtype,
-            class_names=desc.get("class_names"),
-        )
-    raise ValueError(f"unknown model kind {desc['kind']!r}")
+    return build_model(desc, seed, dtype)
 
 
 def load_model(path, dtype=np.float32) -> tuple[ModelGraph, dict]:
@@ -488,7 +455,7 @@ def load_model(path, dtype=np.float32) -> tuple[ModelGraph, dict]:
     (graph, meta)."""
     desc, tensors, meta = storage.read_checkpoint(path)
     try:
-        graph = build_from_description(desc, dtype=dtype)
+        graph = build_model(desc, dtype=dtype)
     except KeyError as exc:
         raise storage.ContainerError(f"{path}: model description has no {exc} entry") from exc
     except (TypeError, ValueError) as exc:

@@ -22,6 +22,7 @@ configuration, head flags) plus tensor names/shapes/dtypes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -171,7 +172,7 @@ def read_checkpoint(path) -> tuple[dict, dict, dict]:
         valid_shape = isinstance(shape, list) and all(isinstance(d, int) and d >= 0 for d in shape)
         if not (valid_shape and isinstance(entry.get("name"), str)):
             raise ContainerError(f"{path}: malformed tensor entry {entry!r}")
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # exact: np.prod wraps in int64
         if pos + count * 4 > len(blob):
             raise ContainerError(f"{path}: tensor {entry['name']!r} runs past the end of the file")
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos).reshape(shape)

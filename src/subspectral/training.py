@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import (
-    ModelGraph,
-    SubSpectralConfig,
-    build_baseline,
-    build_subspectralnet,
-    multi_head_loss,
-)
+from .models import KIND_OPTIONS, ModelGraph, build_model, model_description, multi_head_loss
 from .nn import functional as F
 from .nn.optim import adam_step
 from .seeding import STREAM_DROPOUT, epoch_rng, philox_rng
@@ -39,7 +33,6 @@ class TrainConfig:
     head_compat: bool = False
     include_sub_heads: bool = True
     width_multiplier: int = 1
-    dropout: float = 0.3
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -50,8 +43,16 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if self.model not in ("subspectralnet", "baseline"):
+        if self.model not in KIND_OPTIONS:
             raise ValueError(f"unknown model {self.model!r}")
+
+    def model_description(self, mel_bins: int, frames: int, channels: int, n_classes: int, class_names=None) -> dict:
+        """The description of the configured model over (channels,
+        mel_bins, frames) features."""
+        options = {key: getattr(self, key) for key in KIND_OPTIONS[self.model]}
+        return model_description(
+            self.model, mel_bins, frames, channels, n_classes=n_classes, class_names=class_names, **options
+        )
 
 
 @dataclass
@@ -79,34 +80,6 @@ class TrainResult:
     histories: list[RunHistory]
     average_best: float
     final_report: EvalReport
-
-
-def build_model(
-    cfg: TrainConfig, mel_bins: int, frames: int, channels: int, run_seed: int, class_names=None, n_classes: int = 10
-) -> ModelGraph:
-    if cfg.model == "baseline":
-        return build_baseline(
-            mel_bins,
-            frames,
-            channels,
-            n_classes=n_classes,
-            width_multiplier=cfg.width_multiplier,
-            dropout=cfg.dropout,
-            seed=run_seed,
-            class_names=class_names,
-        )
-    sub_cfg = SubSpectralConfig(mel_bins, cfg.sub_size, cfg.hop_size)
-    return build_subspectralnet(
-        sub_cfg,
-        frames,
-        channels,
-        n_classes=n_classes,
-        head_compat=cfg.head_compat,
-        include_sub_heads=cfg.include_sub_heads,
-        dropout=cfg.dropout,
-        seed=run_seed,
-        class_names=class_names,
-    )
 
 
 def predict_probs(graph: ModelGraph, features: np.ndarray, batch: int = 64) -> dict[str, np.ndarray]:
@@ -159,11 +132,12 @@ def train_model(
         n_classes = len(class_names)
     else:
         n_classes = int(max(train_y.max(), test_y.max())) + 1
+    desc = cfg.model_description(mel_bins, frames, channels, n_classes, class_names)
     histories = []
     best_overall = (-1.0, None, None, None)  # acc, run index, state, graph
     for run in range(cfg.repeats):
         run_seed = cfg.seed + run
-        graph = build_model(cfg, mel_bins, frames, channels, run_seed, class_names, n_classes)
+        graph = build_model(desc, seed=run_seed)
         graph.set_dropout_rng(philox_rng(run_seed, STREAM_DROPOUT))
         store = graph.param_store()
         history = RunHistory(run_seed=run_seed, test_accuracy={name: [] for name in graph.head_names()})

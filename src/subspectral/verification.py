@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelGraph, SubSpectralConfig, build_subclassifier, build_subspectralnet, multi_head_loss
+from .models import SubSpectralConfig, build_subspectralnet, multi_head_loss
 from .nn import functional as F
 from .nn.gradcheck import GradCheckReport, grad_check
 
@@ -183,10 +183,12 @@ def _case_subclassifier(seed):
     x64 = rng.standard_normal((n, channels, 10, frames))
 
     def build(dtype):
-        trunk, head = build_subclassifier(
-            10, frames, channels, time_pool=frames // 5, dropout=0.0, rng=np.random.default_rng(seed + 1), dtype=dtype, prefix="frag"
+        # one band trunk under its 32 -> 10 logits layer: the one-crop
+        # band-split net without per-band heads
+        cfg = SubSpectralConfig(mel_bins=10, sub_size=10, hop_size=10)
+        return build_subspectralnet(
+            cfg, frames, channels, include_sub_heads=False, time_pool=frames // 5, dropout=0.0, seed=seed + 1, dtype=dtype
         )
-        return ModelGraph({"kind": "subclassifier", "mel_bins": 10}, [(0, 10)], [trunk], [], head)
 
     return _graph_case("subclassifier_stack", build, x64, labels)
 

@@ -17,8 +17,11 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_exits_cleanly(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(temp))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not any(temp.iterdir()), "the demo left files in the temp directory"

@@ -8,12 +8,12 @@ import pytest
 from subspectral.models import (
     SubSpectralConfig,
     build_baseline,
-    build_from_description,
-    build_subclassifier,
+    build_model,
     build_subspectralnet,
     count_params,
     global_head_widths,
     load_model,
+    model_description,
     multi_head_loss,
     split_subspectrograms,
 )
@@ -36,6 +36,12 @@ def dimension_oracle_subclassifier(sub_size, frames, channels, time_pool):
     shapes.append(("dense1", (32,)))
     shapes.append(("head", (10,)))
     return shapes
+
+
+def one_band(sub_size, frames, **kw):
+    """The band CNN alone: trunk and head of a one-crop band-split net."""
+    graph = build_subspectralnet(SubSpectralConfig(sub_size, sub_size, 10), frames, 2, **kw)
+    return graph.trunks[0], graph.sub_heads[0]
 
 
 def _spec(kind, name, **fields):
@@ -176,7 +182,7 @@ class TestShapeTraces:
 
     def test_subclassifier_trace_40_20_10_stereo(self):
         # 2x20x500 -> 32x10x100 -> 64x2x1 -> 128 -> 32 -> 10
-        trunk, head = build_subclassifier(20, 500, 2, dropout=0.0)
+        trunk, head = one_band(20, 500, dropout=0.0)
         x = np.zeros((1, 2, 20, 500), dtype=np.float32)
         shapes = [x.shape]
         h = x
@@ -193,7 +199,7 @@ class TestShapeTraces:
         assert probs.shape == (1, 10)
 
     def test_sub_size_10_first_pool(self):
-        trunk, _ = build_subclassifier(10, 500, 2, dropout=0.0)
+        trunk, _ = one_band(10, 500, dropout=0.0)
         x = np.zeros((1, 2, 10, 500), dtype=np.float32)
         h = x
         for layer in trunk.layers:
@@ -213,7 +219,7 @@ class TestShapeTraces:
 
 class TestParameterCounts:
     def test_subclassifier_closed_form(self):
-        trunk, head = build_subclassifier(20, 500, 2)
+        trunk, head = one_band(20, 500)
         total = sum(p.size for p in trunk.params()) + sum(p.size for p in head.params())
         # 3,168 + 64 + 100,416 + 128 + 4,128 + 330
         assert total == 108234
@@ -436,16 +442,42 @@ class TestCheckpointRoundTrip:
 
     def test_rebuild_from_description(self):
         cfg = SubSpectralConfig(40, 20, 10)
-        graph = build_subspectralnet(cfg, 500, 2, head_compat=True)
-        rebuilt = build_from_description(graph.describe())
-        assert count_params(rebuilt) == count_params(graph)
-        assert [p.name for p in rebuilt.parameters()] == [p.name for p in graph.parameters()]
+        for seed in (0, 3):
+            for graph in (
+                build_subspectralnet(cfg, 500, 2, head_compat=True, seed=seed),
+                build_baseline(40, 500, 2, width_multiplier=2, seed=seed),
+            ):
+                rebuilt = build_model(graph.describe(), seed=seed)
+                assert count_params(rebuilt) == count_params(graph)
+                assert rebuilt.describe() == graph.describe()
+                state, rebuilt_state = graph.state(), rebuilt.state()
+                assert list(rebuilt_state) == list(state)
+                for name, value in state.items():
+                    np.testing.assert_array_equal(rebuilt_state[name], value, err_msg=name)
+
+    def test_dropping_sub_heads_keeps_every_shared_tensor(self):
+        # the dropped heads still take their init draws
+        cfg = SubSpectralConfig(40, 20, 10)
+        full = build_subspectralnet(cfg, 50, 2, head_compat=True, seed=1).state()
+        lean = build_subspectralnet(cfg, 50, 2, head_compat=True, include_sub_heads=False, seed=1).state()
+        assert set(full) - set(lean) == {f"sub{m}.head.{t}" for m in range(3) for t in ("weight", "bias")}
+        for name, value in lean.items():
+            np.testing.assert_array_equal(value, full[name], err_msg=name)
+
+    def test_unknown_kind_and_option_are_rejected(self):
+        desc = build_baseline(40, 50, 2).describe()
+        with pytest.raises(ValueError, match="unknown model kind"):
+            build_model(dict(desc, kind="transformer"))
+        with pytest.raises(KeyError, match="width_multiplier"):
+            build_model({k: v for k, v in desc.items() if k != "width_multiplier"})
+        with pytest.raises(TypeError, match="widht"):
+            model_description("baseline", 40, 50, 2, widht_multiplier=2)
 
 
 class TestBuilderErrors:
     def test_time_pool_too_large_names_dimension(self):
         with pytest.raises(ValueError, match="time"):
-            build_subclassifier(20, 40, 2, time_pool=100)
+            one_band(20, 40, time_pool=100)
 
     def test_baseline_mel_bins_constraint(self):
         with pytest.raises(ValueError, match="divide"):
@@ -453,4 +485,4 @@ class TestBuilderErrors:
 
     def test_sub_size_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divisible"):
-            build_subclassifier(15, 500, 2)
+            one_band(15, 500)

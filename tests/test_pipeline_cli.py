@@ -159,6 +159,14 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out.strip().endswith("total\t\t331560")
 
+    @pytest.mark.parametrize("flag", [["--mel-bins", "40"], ["--channels", "mono"]])
+    def test_train_rejects_geometry_flags(self, tmp_path, capsys, flag):
+        # train takes its input geometry from the feature directory
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--features", str(tmp_path), "--out", str(tmp_path / "run"), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
     def test_gradcheck_command(self, capsys):
         code = main(["gradcheck", "--seeds", "1"])
         assert code == 0

@@ -180,6 +180,7 @@ class TestCheckpoint:
             "renamed_shape_key",
             "renamed_kind_key",
             "mel_bins_as_string",
+            "shape_count_wraps_int64",
         ],
     )
     def test_malformed_file_raises_container_error(self, tmp_path, rng, damage):
@@ -199,6 +200,10 @@ class TestCheckpoint:
             desc = dict(build_baseline(40, 50, 2).describe(), mel_bins="40")
             write_checkpoint(path, desc, [])
             blob = path.read_bytes()
+        elif damage == "shape_count_wraps_int64":
+            # 2**32 * 2**32 elements is 0 in int64 arithmetic
+            header = blob[8 : 8 + header_len].replace(b"[3, 4]", b"[4294967296, 4294967296]")
+            blob = blob[:4] + struct.pack("<I", len(header)) + header + blob[8 + header_len :]
         else:  # a one-letter change that leaves the header valid JSON
             key = damage.split("_")[1].encode()
             blob = blob.replace(b'"%s"' % key, b'"%s"' % (key[:-1] + b"_"), 1)

@@ -33,9 +33,11 @@ class TestTrainLoop:
 
         cfg = small_cfg(lr=0.0, epochs=2)
         n, c, f, t = data["train_x"].shape
-        reference = build_model(cfg, f, t, c, run_seed=cfg.seed)
+        n_classes = int(max(data["train_y"].max(), data["test_y"].max())) + 1
+        desc = cfg.model_description(f, t, c, n_classes)
+        reference = build_model(desc, seed=cfg.seed)
         # same seed => identical initialization
-        reference2 = build_model(cfg, f, t, c, run_seed=cfg.seed)
+        reference2 = build_model(desc, seed=cfg.seed)
         for a, b in zip(reference.parameters(), reference2.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
         result = train_model(data["train_x"], data["train_y"], data["test_x"], data["test_y"], cfg)
