@@ -198,6 +198,8 @@ class ModelGraph:
     def forward(self, x: np.ndarray, train: bool = False) -> dict[str, np.ndarray]:
         if x.shape[2] != self.desc["mel_bins"]:
             raise ValueError(f"input has {x.shape[2]} mel bins, model expects {self.desc['mel_bins']}")
+        if x.shape[3] != self.desc["frames"]:
+            raise ValueError(f"input has {x.shape[3]} frames, model expects {self.desc['frames']}")
         self._input_shape = x.shape
         self._features = [trunk.forward(x[:, :, lo:hi, :], train) for trunk, (lo, hi) in zip(self.trunks, self.bands)]
         out = {"global": self.global_head.forward(F.concat(self._features), train)}

@@ -65,15 +65,22 @@ def conv2d_same_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, need_dx: 
     return np.ascontiguousarray(dpad[:, :, pt : pt + h, pl : pl + wd]), dw, db
 
 
-def maxpool2d(x: np.ndarray, pool_h: int, pool_w: int):
-    """Non-overlapping max pooling with floor division; remainder rows and
-    columns are discarded. Returns (y, argmax indices for backward)."""
-    n, c, h, w = x.shape
+def _pooled_size(x_shape, pool_h: int, pool_w: int) -> tuple[int, int]:
+    """Output (rows, columns) of a non-overlapping pool; rejects pools
+    below 1 or larger than the input."""
+    _, _, h, w = x_shape
     if pool_h < 1 or pool_w < 1:
         raise ValueError("pool dims must be >= 1")
     if pool_h > h or pool_w > w:
         raise ValueError(f"pool ({pool_h}, {pool_w}) larger than input ({h}, {w})")
-    ho, wo = h // pool_h, w // pool_w
+    return h // pool_h, w // pool_w
+
+
+def maxpool2d(x: np.ndarray, pool_h: int, pool_w: int):
+    """Non-overlapping max pooling with floor division; remainder rows and
+    columns are discarded. Returns (y, argmax indices for backward)."""
+    n, c, _, _ = x.shape
+    ho, wo = _pooled_size(x.shape, pool_h, pool_w)
     windows = (
         x[:, :, : ho * pool_h, : wo * pool_w]
         .reshape(n, c, ho, pool_h, wo, pool_w)
@@ -83,6 +90,26 @@ def maxpool2d(x: np.ndarray, pool_h: int, pool_w: int):
     idx = windows.argmax(axis=-1)
     y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
     return y, idx
+
+
+def maxpool2d_eval(x: np.ndarray, pool_h: int, pool_w: int) -> np.ndarray:
+    """maxpool2d's y without the argmax: a running np.maximum over the
+    strided column slices of each window, then over its row slices.
+
+    np.maximum returns its second operand when the two compare equal, so
+    the running maximum goes second: a tie keeps the earlier element, as
+    argmax's first-maximum rule does, and the bytes (signed zeros
+    included) match maxpool2d's.
+    """
+    ho, wo = _pooled_size(x.shape, pool_h, pool_w)
+    rows, cols = ho * pool_h, wo * pool_w
+    m = x[:, :, :rows, 0:cols:pool_w].copy()
+    for j in range(1, pool_w):
+        np.maximum(x[:, :, :rows, j:cols:pool_w], m, out=m)
+    y = m[:, :, 0:rows:pool_h].copy()
+    for i in range(1, pool_h):
+        np.maximum(m[:, :, i:rows:pool_h], y, out=y)
+    return y
 
 
 def maxpool2d_backward(dy: np.ndarray, idx: np.ndarray, x_shape, pool_h: int, pool_w: int) -> np.ndarray:
@@ -121,10 +148,15 @@ def batchnorm2d_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: f
 
 
 def batchnorm2d_eval(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, mean: np.ndarray, var: np.ndarray, eps: float) -> np.ndarray:
+    """gamma * (x - mean) / sqrt(var + eps) + beta with the given
+    statistics, in x's dtype: one output array, then scaled and shifted
+    in place."""
     inv = (1.0 / np.sqrt(var.astype(np.float64) + eps)).astype(x.dtype)
-    xhat = (x - mean.astype(x.dtype)[None, :, None, None]) * inv[None, :, None, None]
-    y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
-    return y.astype(x.dtype, copy=False)
+    y = np.subtract(x, mean.astype(x.dtype)[None, :, None, None])
+    y *= inv[None, :, None, None]
+    y *= gamma[None, :, None, None]
+    y += beta[None, :, None, None]
+    return y
 
 
 def batchnorm2d_backward(dy: np.ndarray, cache):

@@ -1,9 +1,11 @@
 """Stateful layer objects over the functional kernels.
 
-Each layer instance is used once per forward pass and keeps whatever it
-needs for the matching backward call. Parameter gradients accumulate with
-+= so shared trunks can receive contributions from several heads; call
-zero_grad between steps.
+Each layer instance is used once per forward pass. Only a train-mode
+forward keeps what the matching backward call needs; an eval-mode forward
+keeps nothing and drops what an earlier train-mode forward kept, so a
+backward after it raises. Parameter gradients accumulate with += so shared
+trunks can receive contributions from several heads; call zero_grad
+between steps.
 """
 
 from __future__ import annotations
@@ -57,6 +59,13 @@ class Layer:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _saved(self, state):
+        """state kept by the last forward; raises if that forward was not
+        in train mode."""
+        if state is None:
+            raise RuntimeError(f"{self.name}: backward without a train-mode forward")
+        return state
+
     def spec(self) -> dict:
         return {"kind": self.kind, "name": self.name}
 
@@ -83,11 +92,11 @@ class Conv2dSame(Layer):
     def forward(self, x, train):
         if x.shape[1] != self.in_channels:
             raise ValueError(f"{self.name}: got {x.shape[1]} channels, expected {self.in_channels}")
-        self._x = x
+        self._x = x if train else None
         return F.conv2d_same(x, self.weight.data, self.bias.data)
 
     def backward(self, dy, input_grad=True):
-        dx, dw, db = F.conv2d_same_backward(dy, self._x, self.weight.data, need_dx=input_grad)
+        dx, dw, db = F.conv2d_same_backward(dy, self._saved(self._x), self.weight.data, need_dx=input_grad)
         self.weight.grad += dw
         self.bias.grad += db
         return dx
@@ -156,9 +165,7 @@ class BatchNorm2d(Layer):
         return F.batchnorm2d_eval(x, self.gamma.data, self.beta.data, self.running_mean, self.running_var, self.eps)
 
     def backward(self, dy):
-        if self._cache is None:
-            raise RuntimeError(f"{self.name}: backward without a train-mode forward")
-        dx, dgamma, dbeta = F.batchnorm2d_backward(dy, self._cache)
+        dx, dgamma, dbeta = F.batchnorm2d_backward(dy, self._saved(self._cache))
         self.gamma.grad += dgamma.astype(self.gamma.data.dtype)
         self.beta.grad += dbeta.astype(self.beta.data.dtype)
         return dx
@@ -175,11 +182,11 @@ class ReLU(Layer):
         self._x = None
 
     def forward(self, x, train):
-        self._x = x
+        self._x = x if train else None
         return F.relu(x)
 
     def backward(self, dy):
-        return F.relu_backward(dy, self._x)
+        return F.relu_backward(dy, self._saved(self._x))
 
 
 class MaxPool2d(Layer):
@@ -192,12 +199,15 @@ class MaxPool2d(Layer):
         self._in_shape = None
 
     def forward(self, x, train):
+        if not train:
+            self._idx = self._in_shape = None
+            return F.maxpool2d_eval(x, *self.pool)
         self._in_shape = x.shape
         y, self._idx = F.maxpool2d(x, *self.pool)
         return y
 
     def backward(self, dy):
-        return F.maxpool2d_backward(dy, self._idx, self._in_shape, *self.pool)
+        return F.maxpool2d_backward(dy, self._saved(self._idx), self._in_shape, *self.pool)
 
     def spec(self):
         return {"kind": self.kind, "name": self.name, "pool": list(self.pool)}
@@ -233,11 +243,11 @@ class Flatten(Layer):
         self._in_shape = None
 
     def forward(self, x, train):
-        self._in_shape = x.shape
+        self._in_shape = x.shape if train else None
         return F.flatten(x)
 
     def backward(self, dy):
-        return dy.reshape(self._in_shape)
+        return dy.reshape(self._saved(self._in_shape))
 
 
 class Dense(Layer):
@@ -255,11 +265,11 @@ class Dense(Layer):
         return [self.weight, self.bias]
 
     def forward(self, x, train):
-        self._x = x
+        self._x = x if train else None
         return F.dense(x, self.weight.data, self.bias.data)
 
     def backward(self, dy):
-        dx, dw, db = F.dense_backward(dy, self._x, self.weight.data)
+        dx, dw, db = F.dense_backward(dy, self._saved(self._x), self.weight.data)
         self.weight.grad += dw
         self.bias.grad += db
         return dx

@@ -112,6 +112,12 @@ def evaluate_model(graph: ModelGraph, features: np.ndarray, labels: np.ndarray, 
     return EvalReport(head_names=graph.head_names(), accuracy=accuracy, confusion=confusion, n_samples=len(labels))
 
 
+def _nonfinite_heads(logits: dict[str, np.ndarray], labels: np.ndarray) -> list[str]:
+    """Names of the heads whose own cross-entropy is NaN or infinite."""
+    with np.errstate(all="ignore"):
+        return [name for name, z in logits.items() if not math.isfinite(F.softmax_cross_entropy(z, labels)[0])]
+
+
 def train_model(
     train_x: np.ndarray,
     train_y: np.ndarray,
@@ -122,7 +128,8 @@ def train_model(
 ) -> TrainResult:
     """Minibatch Adam over the multi-head loss, repeated cfg.repeats times.
 
-    Aborts with run/epoch/batch context if the loss is NaN or infinite.
+    Aborts with run/epoch/batch context if the loss is NaN or infinite,
+    naming the heads whose own loss is.
     Training is bit-reproducible for a fixed seed in single-threaded mode.
     """
     if train_x.shape[0] == 0 or test_x.shape[0] == 0:
@@ -152,7 +159,9 @@ def train_model(
                 loss, dlogits = multi_head_loss(logits, train_y[idx])
                 if not math.isfinite(loss):
                     bad = "NaN" if math.isnan(loss) else loss
-                    raise RuntimeError(f"{bad} loss at run {run}, epoch {epoch}, batch {n_batches}")
+                    heads = _nonfinite_heads(logits, train_y[idx])
+                    named = f" (heads: {', '.join(heads)})" if heads else ""
+                    raise RuntimeError(f"{bad} loss at run {run}, epoch {epoch}, batch {n_batches}{named}")
                 store.zero_grad()
                 graph.backward(dlogits)
                 adam_step(store, lr=cfg.lr)

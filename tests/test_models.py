@@ -335,6 +335,19 @@ class TestHeadGradientFlow:
             np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-6)
 
 
+class TestEvalModeState:
+    @pytest.mark.parametrize("kind", ["conv2d", "batchnorm", "relu", "maxpool", "flatten", "dense"])
+    def test_backward_after_eval_forward_raises(self, rng, kind):
+        graph = build_baseline(40, 50, 2, seed=0)
+        graph.set_dropout_rng(np.random.default_rng(0))
+        x = rng.standard_normal((2, 2, 40, 50)).astype(np.float32)
+        graph.forward(x, train=True)
+        graph.forward(x, train=False)  # drops what the train-mode forward kept
+        layer = next(layer for seq in graph.trunks + [graph.global_head] for layer in seq.layers if layer.kind == kind)
+        with pytest.raises(RuntimeError, match=f"{layer.name}: backward without a train-mode forward"):
+            layer.backward(np.zeros(1, dtype=np.float32))
+
+
 class TestCheckpointRoundTrip:
     def test_bit_exact_params_and_buffers(self, tmp_path, rng):
         cfg = SubSpectralConfig(40, 20, 10)

@@ -129,6 +129,38 @@ class TestMaxPool:
         y, _ = F.maxpool2d(x, 1, 4)
         np.testing.assert_array_equal(y[0, 0, 0], [3.0, 7.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pool", [(2, 5), (3, 5), (5, 5), (4, 10), (4, 100), (1, 1)])
+    def test_eval_kernel_matches_argmax_bytes(self, pool, dtype):
+        ph, pw = pool
+        rng = np.random.default_rng(ph * 1000 + pw)
+        # two windows each way plus remainder rows and columns
+        x = rng.standard_normal((2, 3, 2 * ph + 1, 2 * pw + 3)).astype(dtype)
+        x = np.maximum(x, 0)  # post-ReLU zeros tie inside windows
+        flat = x.reshape(-1)
+        spots = rng.choice(flat.size, size=4 * (flat.size // 10 + 1))
+        q = len(spots) // 4
+        flat[spots[:q]] = np.inf
+        flat[spots[q : 2 * q]] = -np.inf
+        flat[spots[2 * q :]] = -0.0  # signed zeros among the post-ReLU +0.0
+        expected, _ = F.maxpool2d(x, ph, pw)
+        y = F.maxpool2d_eval(x, ph, pw)
+        assert y.dtype == expected.dtype and y.shape == expected.shape
+        assert y.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("first", [-0.0, 0.0])
+    def test_eval_kernel_signed_zero_tie_keeps_the_first(self, first):
+        x = np.array([[first, -first], [-first, -first]]).reshape(1, 1, 2, 2)
+        y = F.maxpool2d_eval(x, 2, 2)
+        assert np.signbit(y[0, 0, 0, 0]) == np.signbit(first)
+        assert y.tobytes() == F.maxpool2d(x, 2, 2)[0].tobytes()
+
+    @pytest.mark.parametrize("kernel", [F.maxpool2d, F.maxpool2d_eval])
+    @pytest.mark.parametrize("pool, match", [((4, 1), "larger"), ((1, 4), "larger"), ((0, 1), ">= 1"), ((1, 0), ">= 1")])
+    def test_bad_pool_errors_on_both_kernels(self, kernel, pool, match):
+        with pytest.raises(ValueError, match=match):
+            kernel(np.zeros((1, 1, 3, 3)), *pool)
+
 
 class TestBatchNorm:
     def test_train_standardizes(self):
@@ -150,6 +182,23 @@ class TestBatchNorm:
         x = np.ones((2, 1, 2, 2))
         y = F.batchnorm2d_eval(x, np.ones(1), np.zeros(1), np.array([1.0]), np.array([4.0]), eps=0.0)
         np.testing.assert_allclose(y, 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_matches_reference_formula_bytes(self, dtype):
+        def reference(x, gamma, beta, mean, var, eps):
+            inv = (1.0 / np.sqrt(var.astype(np.float64) + eps)).astype(x.dtype)
+            xhat = (x - mean.astype(x.dtype)[None, :, None, None]) * inv[None, :, None, None]
+            y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+            return y.astype(x.dtype, copy=False)
+
+        rng = np.random.default_rng(5)
+        x = (rng.standard_normal((4, 6, 7, 9)) * 3 + 1).astype(dtype)
+        gamma, beta, mean = (rng.standard_normal(6).astype(dtype) for _ in range(3))
+        var = rng.uniform(0.1, 4.0, 6).astype(dtype)
+        y = F.batchnorm2d_eval(x, gamma, beta, mean, var, 1e-3)
+        expected = reference(x, gamma, beta, mean, var, 1e-3)
+        assert y.dtype == expected.dtype == dtype
+        assert y.tobytes() == expected.tobytes()
 
 
 class TestSoftmaxCrossEntropy:

@@ -198,6 +198,21 @@ class TestCli:
         assert code == 1
         assert str(damaged) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("frames, code", [(50, 0), (60, 1), (100, 1)])
+    def test_predict_checks_the_frame_count(self, tmp_path, capsys, frames, code):
+        from subspectral.models import build_baseline
+        from subspectral.storage import write_features
+
+        graph = build_baseline(40, 50, 1, seed=0, n_classes=3)
+        graph.set_dropout_rng(np.random.default_rng(0))
+        graph.forward(np.random.default_rng(1).standard_normal((4, 1, 40, 50)).astype(np.float32), train=True)
+        graph.save(tmp_path / "model.ssnw")
+        features = np.random.default_rng(2).standard_normal((3, 1, 40, frames)).astype(np.float32)
+        write_features(tmp_path / "x.ssnf", features, [0, 1, 2])
+        assert main(["predict", "--checkpoint", str(tmp_path / "model.ssnw"), "--features", str(tmp_path / "x.ssnf")]) == code
+        if code:
+            assert f"input has {frames} frames, model expects 50" in capsys.readouterr().err
+
     def test_extract_pair_manifests(self, tmp_path):
         from subspectral.data import synth_fixture, write_manifest
         from subspectral.data import DatasetManifest

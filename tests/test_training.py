@@ -84,6 +84,19 @@ class TestTrainLoop:
         with pytest.raises(RuntimeError, match="inf loss at run 0, epoch 0, batch 0"):
             train_model(data["train_x"], data["train_y"], data["test_x"], data["test_y"], small_cfg())
 
+    def test_nonfinite_loss_names_the_head(self, data, monkeypatch):
+        from subspectral import training as tr
+        from subspectral.models import build_model
+
+        def poisoned(desc, seed=0, dtype=np.float32):
+            graph = build_model(desc, seed, dtype)
+            graph.sub_heads[1].layers[0].weight.data[...] = np.nan
+            return graph
+
+        monkeypatch.setattr(tr, "build_model", poisoned)
+        with pytest.raises(RuntimeError, match=r"^NaN loss at run 0, epoch 0, batch 0 \(heads: sub1\)$"):
+            train_model(data["train_x"], data["train_y"], data["test_x"], data["test_y"], small_cfg())
+
     def test_average_best_is_mean_over_repeats(self, data):
         cfg = small_cfg(epochs=2, repeats=2)
         result = train_model(data["train_x"], data["train_y"], data["test_x"], data["test_y"], cfg)
