@@ -31,16 +31,12 @@ from .features import (
 )
 from .models import (
     ModelGraph,
-    SubSpectralConfig,
-    build_baseline,
     build_model,
-    build_subspectralnet,
     count_params,
     global_head_widths,
     load_model,
     model_description,
     multi_head_loss,
-    split_subspectrograms,
 )
 from .training import EvalReport, TrainConfig, TrainResult, evaluate_model, train_model
 from .verification import run_gradient_suite

@@ -62,17 +62,7 @@ class DistanceMatrix:
             raise ValueError("matrix must be square")
 
 
-def _clip_summary(spec_data: np.ndarray, channel_mode: str) -> np.ndarray:
-    """Temporal mean per bin; channels averaged or first-only."""
-    means = np.asarray(spec_data, dtype=np.float64).mean(axis=2)  # (C, F)
-    if channel_mode == "average":
-        return means.mean(axis=0)
-    if channel_mode == "first":
-        return means[0]
-    raise ValueError(f"unknown channel mode {channel_mode!r}")
-
-
-def class_mean_profiles(features, labels, class_ids, channel_mode: str = "average") -> ClassProfileSet:
+def class_mean_profiles(features, labels, class_ids) -> ClassProfileSet:
     """Mean activation per (class, bin), concatenating samples over time.
 
     features: iterable of (C, F, T) arrays or Spectrogram objects.
@@ -88,11 +78,7 @@ def class_mean_profiles(features, labels, class_ids, channel_mode: str = "averag
     sums = np.zeros((n_classes, f_bins), dtype=np.float64)
     frames = np.zeros(n_classes, dtype=np.int64)
     for data, label in zip(arrays, labels):
-        if channel_mode == "average":
-            per_bin = data.mean(axis=0).sum(axis=1)  # (F,) summed over frames
-        else:
-            per_bin = data[0].sum(axis=1)
-        sums[label] += per_bin
+        sums[label] += data.mean(axis=0).sum(axis=1)  # (F,): channel mean, summed over frames
         frames[label] += data.shape[2]
     missing = [class_ids[c] for c in range(n_classes) if frames[c] == 0]
     if missing:
@@ -100,21 +86,21 @@ def class_mean_profiles(features, labels, class_ids, channel_mode: str = "averag
     return ClassProfileSet(class_ids=list(class_ids), profiles=sums / frames[:, None])
 
 
-def per_bin_classify(test, profiles: ClassProfileSet, channel_mode: str = "average") -> np.ndarray:
+def per_bin_classify(test, profiles: ClassProfileSet) -> np.ndarray:
     """Nearest-mean prediction at every mel bin independently.
 
     Returns a length-F int array: argmin over classes of the squared
     difference between the clip's temporal mean at that bin and the class
     profile. Ties break toward the lowest class index.
     """
-    summary = _clip_summary(np.asarray(getattr(test, "data", test)), channel_mode)
+    summary = np.asarray(getattr(test, "data", test), dtype=np.float64).mean(axis=2).mean(axis=0)  # (F,): channel mean
     if summary.shape[0] != profiles.profiles.shape[1]:
         raise ValueError(f"clip has {summary.shape[0]} bins, profiles have {profiles.profiles.shape[1]}")
     sq = (profiles.profiles - summary[None, :]) ** 2  # (n_classes, F)
     return np.argmin(sq, axis=0)
 
 
-def bin_histograms(test_set, labels, profiles: ClassProfileSet, channel_mode: str = "average") -> BinHistogramSet:
+def bin_histograms(test_set, labels, profiles: ClassProfileSet) -> BinHistogramSet:
     """Per-class histogram of bins that classified the clip correctly.
 
     Counts, per class c and bin f, the test clips of class c whose bin-f
@@ -127,7 +113,7 @@ def bin_histograms(test_set, labels, profiles: ClassProfileSet, channel_mode: st
     counts = np.zeros((n_classes, profiles.profiles.shape[1]), dtype=np.float64)
     seen = np.zeros(n_classes, dtype=np.int64)
     for spec, label in zip(test_set, labels):
-        preds = per_bin_classify(spec, profiles, channel_mode)
+        preds = per_bin_classify(spec, profiles)
         counts[label] += preds == label
         seen[label] += 1
     missing = [profiles.class_ids[c] for c in range(n_classes) if seen[c] == 0]

@@ -29,12 +29,13 @@ from .verification import run_gradient_suite
 
 
 def _add_model_flags(p: argparse.ArgumentParser):
+    sub, base = KIND_OPTIONS["subspectralnet"], KIND_OPTIONS["baseline"]
     p.add_argument("--model", choices=list(KIND_OPTIONS), default="subspectralnet")
-    p.add_argument("--sub-size", type=int, default=20, help="band crop height X")
-    p.add_argument("--hop-size", type=int, default=10, help="vertical band hop Y")
+    p.add_argument("--sub-size", type=int, default=sub["sub_size"], help="band crop height X")
+    p.add_argument("--hop-size", type=int, default=sub["hop_size"], help="vertical band hop Y")
     p.add_argument("--head-compat", action="store_true", help="size the global head to match the published parameter count")
     p.add_argument("--no-sub-loss", action="store_true", help="drop the per-band heads; train the global head only")
-    p.add_argument("--width-mult", type=int, default=1, help="baseline conv width multiplier")
+    p.add_argument("--width-mult", type=int, default=base["width_multiplier"], help="baseline conv width multiplier")
 
 
 def _model_options(args) -> dict:
@@ -186,22 +187,15 @@ def cmd_paramcount(args) -> int:
 def cmd_gradcheck(args) -> int:
     entries = run_gradient_suite(seeds=range(args.seeds))
     print("case\tdtype\tcoords\tmax_rel_error\ttolerance\tstatus")
-    worst: dict[tuple, float] = {}
-    status_ok = True
-    for e in entries:
-        key = (e.case, e.dtype)
-        worst[key] = max(worst.get(key, 0.0), e.report.max_rel_error)
-        if not e.passed:
-            status_ok = False
     by_case: dict[tuple, list] = {}
     for e in entries:
-        by_case.setdefault((e.case, e.dtype), []).append(e)
-    for (case, dtype), group in by_case.items():
-        coords = sum(g.report.n_coords for g in group)
-        tol = group[0].report.tolerance
-        ok = all(g.passed for g in group)
-        print(f"{case}\t{dtype}\t{coords}\t{worst[(case, dtype)]:.6g}\t{tol:.6g}\t{'pass' if ok else 'FAIL'}")
-    return 0 if status_ok else 1
+        by_case.setdefault((e.case, e.dtype), []).append(e.report)
+    for (case, dtype), reports in by_case.items():
+        coords = sum(r.n_coords for r in reports)
+        worst = max(r.max_rel_error for r in reports)
+        ok = all(r.passed for r in reports)
+        print(f"{case}\t{dtype}\t{coords}\t{worst:.6g}\t{reports[0].tolerance:.6g}\t{'pass' if ok else 'FAIL'}")
+    return 0 if all(e.passed for e in entries) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -255,11 +255,3 @@ def apply_normalizer(s: Spectrogram, norm: BinNormalizer) -> Spectrogram:
         raise ValueError(f"normalizer shape {norm.mean.shape} does not match spectrogram {s.data.shape[:2]}")
     out = (s.data.astype(np.float64) - norm.mean[:, :, None]) / norm.std[:, :, None]
     return Spectrogram(data=out.astype(np.float32))
-
-
-def invert_normalizer(s: Spectrogram, norm: BinNormalizer) -> Spectrogram:
-    """Undo apply_normalizer: x * std + mean."""
-    if s.data.shape[:2] != norm.mean.shape:
-        raise ValueError(f"normalizer shape {norm.mean.shape} does not match spectrogram {s.data.shape[:2]}")
-    out = s.data.astype(np.float64) * norm.std[:, :, None] + norm.mean[:, :, None]
-    return Spectrogram(data=out.astype(np.float32))

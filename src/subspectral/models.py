@@ -15,7 +15,6 @@ cross-entropies, and softmax runs only when predicting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,52 +38,33 @@ N_CLASSES = 10
 FEATURE_WIDTH = 32  # per-band feature size feeding the global head
 DEFAULT_TIME_POOL = 100
 
-# The options of each model kind. A model description holds kind,
-# n_classes, channels, frames and mel_bins, then its kind's options, then
-# time_pool, dropout and class_names; checkpoint headers store it in that
-# order.
+# The options of each model kind, with their defaults. A model description
+# holds kind, n_classes, channels, frames and mel_bins, then its kind's
+# options, then time_pool, dropout and class_names; checkpoint headers
+# store it in that order.
 KIND_OPTIONS = {
-    "baseline": ("width_multiplier",),
-    "subspectralnet": ("sub_size", "hop_size", "head_compat", "include_sub_heads"),
+    "baseline": {"width_multiplier": 1},
+    "subspectralnet": {"sub_size": 20, "hop_size": 10, "head_compat": False, "include_sub_heads": True},
 }
 
 
-@dataclass(frozen=True)
-class SubSpectralConfig:
-    """Band-splitting geometry.
+def crop_ranges(mel_bins: int, sub_size: int, hop_size: int) -> list[tuple[int, int]]:
+    """The (lo, hi) mel-bin range of each band crop.
 
     mel_bins: input height F; sub_size: crop height X; hop_size: vertical
-    hop Y. The derived crop_count is floor(1 + (F - X) / Y). sub_size must
-    be a multiple of 10 because the first pooling stage is (X/10, 5).
+    hop Y. There are M = floor(1 + (F - X) / Y) crops. sub_size must be a
+    multiple of 10 because the first pooling stage is (X/10, 5).
     """
-
-    mel_bins: int
-    sub_size: int
-    hop_size: int
-
-    def __post_init__(self):
-        if not 1 <= self.sub_size <= self.mel_bins:
-            raise ValueError(f"sub_size {self.sub_size} must lie in [1, {self.mel_bins}]")
-        if self.hop_size < 1:
-            raise ValueError("hop_size must be >= 1")
-        if self.sub_size % 10 != 0:
-            raise ValueError(f"sub_size {self.sub_size} must be divisible by 10 (first pool is sub_size/10)")
-        if self.crop_count < 1:
-            raise ValueError("configuration yields zero crops")
-
-    @property
-    def crop_count(self) -> int:
-        return int(math.floor(1 + (self.mel_bins - self.sub_size) / self.hop_size))
-
-    def crop_ranges(self) -> list[tuple[int, int]]:
-        return [(m * self.hop_size, m * self.hop_size + self.sub_size) for m in range(self.crop_count)]
-
-
-def split_subspectrograms(x: np.ndarray, cfg: SubSpectralConfig) -> list[np.ndarray]:
-    """Horizontal crops of a (N, C, F, T) batch, one per band."""
-    if x.shape[2] != cfg.mel_bins:
-        raise ValueError(f"input has {x.shape[2]} mel bins, config expects {cfg.mel_bins}")
-    return [x[:, :, lo:hi, :] for lo, hi in cfg.crop_ranges()]
+    if not 1 <= sub_size <= mel_bins:
+        raise ValueError(f"sub_size {sub_size} must lie in [1, {mel_bins}]")
+    if hop_size < 1:
+        raise ValueError("hop_size must be >= 1")
+    if sub_size % 10 != 0:
+        raise ValueError(f"sub_size {sub_size} must be divisible by 10 (first pool is sub_size/10)")
+    count = int(math.floor(1 + (mel_bins - sub_size) / hop_size))
+    if count < 1:
+        raise ValueError("configuration yields zero crops")
+    return [(m * hop_size, m * hop_size + sub_size) for m in range(count)]
 
 
 def global_head_widths(crop_count: int, head_compat: bool = False) -> list[int]:
@@ -150,7 +130,6 @@ class ModelGraph:
     The band-split net has M crops and, when built with them, per-band
     heads "sub0".."subM-1". The baseline CNN is the one-band case: one
     trunk over (0, F), no per-band heads, and a one-layer global head.
-    kind is the model kind recorded in desc.
     """
 
     def __init__(
@@ -162,7 +141,6 @@ class ModelGraph:
         global_head: Sequential,
     ):
         self.desc = desc
-        self.kind = desc["kind"]
         self.bands = bands
         self.trunks = trunks
         self.sub_heads = sub_heads
@@ -319,15 +297,16 @@ def model_description(
     """The description of a kind model over (channels, mel_bins, frames)
     inputs, which build_model reads and checkpoint headers store.
 
-    options must hold the kind's options (KIND_OPTIONS); those of the
-    other kind are ignored, so one set of flags or config fields serves
-    every kind. time_pool defaults to min(100, frames // 5).
+    options may set any kind's options (KIND_OPTIONS): an absent option of
+    this kind takes its KIND_OPTIONS default, and those of the other kind
+    are ignored, so one set of flags or config fields serves every kind.
+    time_pool defaults to min(100, frames // 5).
     """
     keys = _description_keys(kind)
     unknown = set(options).difference(*KIND_OPTIONS.values())
     if unknown:
         raise TypeError(f"unknown model options {sorted(unknown)}")
-    values = dict(options)
+    values = {**KIND_OPTIONS[kind], **options}
     values.update(
         kind=kind,
         n_classes=n_classes,
@@ -349,7 +328,7 @@ def build_model(desc: dict, seed: int = 0, dtype=np.float32) -> ModelGraph:
     The baseline CNN is the one-band graph: a trunk over all mel bins
     ending after a 100-unit dense block, with width_multiplier scaling
     both conv widths, and a global head holding the logits layer. The
-    band-split net runs one trunk per crop of SubSpectralConfig(mel_bins,
+    band-split net runs one trunk per crop of crop_ranges(mel_bins,
     sub_size, hop_size), each ending at 32 band features with its own
     logits head "sub{m}", and a global head over the concatenated band
     features. include_sub_heads=False leaves the per-band heads out of
@@ -372,84 +351,21 @@ def build_model(desc: dict, seed: int = 0, dtype=np.float32) -> ModelGraph:
         trunk = _conv_trunk("base", channels, (mel_bins, frames), widths, (5, 5), 100, **block)
         return ModelGraph(desc, [(0, mel_bins)], [trunk], [], Sequential([dense(100, n_classes, "base.dense2")]))
 
-    cfg = SubSpectralConfig(mel_bins, desc["sub_size"], desc["hop_size"])
-    pool1 = (cfg.sub_size // 10, 5)
+    sub_size = desc["sub_size"]
+    bands = crop_ranges(mel_bins, sub_size, desc["hop_size"])
+    pool1 = (sub_size // 10, 5)
     trunks, sub_heads = [], []
-    for m in range(cfg.crop_count):
-        trunks.append(_conv_trunk(f"sub{m}", channels, (cfg.sub_size, frames), (32, 64), pool1, FEATURE_WIDTH, **block))
+    for m in range(len(bands)):
+        trunks.append(_conv_trunk(f"sub{m}", channels, (sub_size, frames), (32, 64), pool1, FEATURE_WIDTH, **block))
         head = Sequential([dense(FEATURE_WIDTH, n_classes, f"sub{m}.head")])
         if desc["include_sub_heads"]:
             sub_heads.append(head)
-    layers, width = [], FEATURE_WIDTH * cfg.crop_count
-    for i, hidden in enumerate(global_head_widths(cfg.crop_count, desc["head_compat"]), start=1):
+    layers, width = [], FEATURE_WIDTH * len(bands)
+    for i, hidden in enumerate(global_head_widths(len(bands), desc["head_compat"]), start=1):
         layers += [dense(width, hidden, f"global.dense{i}"), ReLU(name=f"global.relu{i}")]
         width = hidden
     layers.append(dense(width, n_classes, "global.out"))
-    return ModelGraph(desc, cfg.crop_ranges(), trunks, sub_heads, Sequential(layers))
-
-
-def build_subspectralnet(
-    cfg: SubSpectralConfig,
-    frames: int,
-    channels: int,
-    *,
-    n_classes: int = N_CLASSES,
-    head_compat: bool = False,
-    include_sub_heads: bool = True,
-    time_pool: int | None = None,
-    dropout: float = 0.3,
-    seed: int = 0,
-    dtype=np.float32,
-    class_names=None,
-) -> ModelGraph:
-    """Band-split network over cfg's crops: M band trunks with their
-    heads, plus the global head (build_model)."""
-    desc = model_description(
-        "subspectralnet",
-        cfg.mel_bins,
-        frames,
-        channels,
-        n_classes=n_classes,
-        time_pool=time_pool,
-        dropout=dropout,
-        class_names=class_names,
-        sub_size=cfg.sub_size,
-        hop_size=cfg.hop_size,
-        head_compat=head_compat,
-        include_sub_heads=include_sub_heads,
-    )
-    return build_model(desc, seed, dtype)
-
-
-def build_baseline(
-    mel_bins: int,
-    frames: int,
-    channels: int,
-    *,
-    n_classes: int = N_CLASSES,
-    width_multiplier: int = 1,
-    time_pool: int | None = None,
-    dropout: float = 0.3,
-    seed: int = 0,
-    dtype=np.float32,
-    class_names=None,
-) -> ModelGraph:
-    """Reference CNN: two 7x7 conv blocks with (5,5) and (4,time_pool)
-    pooling, a 100-unit dense layer, and one logits output (build_model).
-    width_multiplier scales both conv widths (2 doubles them to 64/128).
-    """
-    desc = model_description(
-        "baseline",
-        mel_bins,
-        frames,
-        channels,
-        n_classes=n_classes,
-        time_pool=time_pool,
-        dropout=dropout,
-        class_names=class_names,
-        width_multiplier=width_multiplier,
-    )
-    return build_model(desc, seed, dtype)
+    return ModelGraph(desc, bands, trunks, sub_heads, Sequential(layers))
 
 
 def load_model(path, dtype=np.float32) -> tuple[ModelGraph, dict]:

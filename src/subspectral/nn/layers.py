@@ -220,16 +220,18 @@ class Dropout(Layer):
         super().__init__(name)
         self.rate = rate
         self.rng: np.random.Generator | None = None
-        self._mask = None
+        self._mask = None  # (mask,) after a train-mode forward; mask is None at rate 0
 
     def forward(self, x, train):
         if train and self.rate > 0 and self.rng is None:
             raise RuntimeError(f"{self.name}: dropout needs an rng in train mode")
-        y, self._mask = F.dropout(x, self.rate, train, self.rng)
+        y, mask = F.dropout(x, self.rate, train, self.rng)
+        self._mask = (mask,) if train else None
         return y
 
     def backward(self, dy):
-        return F.dropout_backward(dy, self._mask, self.rate)
+        (mask,) = self._saved(self._mask)
+        return F.dropout_backward(dy, mask, self.rate)
 
     def spec(self):
         return {"kind": self.kind, "name": self.name, "rate": self.rate}

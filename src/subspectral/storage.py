@@ -73,9 +73,15 @@ def read_features(path) -> tuple[np.ndarray, np.ndarray]:
     version, n, c, f, t = struct.unpack("<5I", blob[4:24])
     if version != FEATURE_VERSION:
         raise ContainerError(f"{path}: unsupported feature container version {version}")
-    record = _feature_record(c, f, t)
-    if len(blob) != 24 + n * record.itemsize:
+    # exact sizes before any numpy type: numpy caps a record at 2 GiB and a
+    # dimension below 2**31, which past this check only n = 0 or an empty
+    # sample can reach
+    if len(blob) != 24 + n * (4 + 4 * c * f * t):
         raise ContainerError(f"{path}: size {len(blob)} does not match header")
+    try:
+        record = _feature_record(c, f, t)
+    except ValueError as exc:
+        raise ContainerError(f"{path}: a {c}x{f}x{t} sample is too large: {exc}") from exc
     records = np.frombuffer(blob, dtype=record, count=n, offset=24)
     return np.ascontiguousarray(records["x"], dtype=np.float32), records["label"].astype(np.uint32)
 
@@ -97,7 +103,10 @@ def read_normalizer(path) -> BinNormalizer:
         raise ContainerError(f"{path}: normalizer size does not match header ({c}x{f})")
     mean = np.frombuffer(blob, dtype="<f8", count=c * f, offset=8).reshape(c, f)
     std = np.frombuffer(blob, dtype="<f8", count=c * f, offset=8 + c * f * 8).reshape(c, f)
-    return BinNormalizer(mean=mean.copy(), std=std.copy())
+    try:
+        return BinNormalizer(mean=mean.copy(), std=std.copy())
+    except ValueError as exc:
+        raise ContainerError(f"{path}: {exc}") from exc
 
 
 def write_class_names(path, names) -> None:

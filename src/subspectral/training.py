@@ -28,11 +28,11 @@ class TrainConfig:
     seed: int = 0
     repeats: int = 3
     model: str = "subspectralnet"
-    sub_size: int = 20
-    hop_size: int = 10
-    head_compat: bool = False
-    include_sub_heads: bool = True
-    width_multiplier: int = 1
+    sub_size: int = KIND_OPTIONS["subspectralnet"]["sub_size"]
+    hop_size: int = KIND_OPTIONS["subspectralnet"]["hop_size"]
+    head_compat: bool = KIND_OPTIONS["subspectralnet"]["head_compat"]
+    include_sub_heads: bool = KIND_OPTIONS["subspectralnet"]["include_sub_heads"]
+    width_multiplier: int = KIND_OPTIONS["baseline"]["width_multiplier"]
 
     def __post_init__(self):
         if self.epochs < 1:

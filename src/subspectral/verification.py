@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import SubSpectralConfig, build_subspectralnet, multi_head_loss
+from .models import build_model, model_description, multi_head_loss
 from .nn import functional as F
 from .nn.gradcheck import GradCheckReport, grad_check
 
@@ -150,11 +150,12 @@ def _case_softmax_ce(seed):
     return "softmax_cross_entropy", arrays, loss, grads, None
 
 
-def _graph_case(name, build, x64, labels):
-    """A model case: the multi-head loss of the graph build(dtype) on x64."""
+def _graph_case(name, desc, seed, x64, labels):
+    """A model case: the multi-head loss on x64 of the graph that
+    build_model(desc, seed, dtype) builds."""
 
     def make(dtype):
-        graph = build(dtype)
+        graph = build_model(desc, seed, dtype)
         params = graph.parameters()
         x = x64.astype(dtype)
 
@@ -182,30 +183,23 @@ def _case_subclassifier(seed):
     labels = rng.integers(0, 10, n)
     x64 = rng.standard_normal((n, channels, 10, frames))
 
-    def build(dtype):
-        # one band trunk under its 32 -> 10 logits layer: the one-crop
-        # band-split net without per-band heads
-        cfg = SubSpectralConfig(mel_bins=10, sub_size=10, hop_size=10)
-        return build_subspectralnet(
-            cfg, frames, channels, include_sub_heads=False, time_pool=frames // 5, dropout=0.0, seed=seed + 1, dtype=dtype
-        )
-
-    return _graph_case("subclassifier_stack", build, x64, labels)
+    # one band trunk under its 32 -> 10 logits layer: the one-crop
+    # band-split net without per-band heads
+    desc = model_description(
+        "subspectralnet", 10, frames, channels, sub_size=10, hop_size=10, include_sub_heads=False, time_pool=frames // 5, dropout=0.0
+    )
+    return _graph_case("subclassifier_stack", desc, seed + 1, x64, labels)
 
 
 def _case_multi_head(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 4))
     channels = int(rng.choice([1, 2]))
-    frames = 20
-    cfg = SubSpectralConfig(mel_bins=20, sub_size=10, hop_size=5)
+    mel_bins, frames = 20, 20
     labels = rng.integers(0, 10, n)
-    x64 = rng.standard_normal((n, channels, cfg.mel_bins, frames))
-
-    def build(dtype):
-        return build_subspectralnet(cfg, frames, channels, dropout=0.0, seed=seed + 1, dtype=dtype)
-
-    return _graph_case("multi_head_loss", build, x64, labels)
+    x64 = rng.standard_normal((n, channels, mel_bins, frames))
+    desc = model_description("subspectralnet", mel_bins, frames, channels, sub_size=10, hop_size=5, dropout=0.0)
+    return _graph_case("multi_head_loss", desc, seed + 1, x64, labels)
 
 
 def _check_functional(case_fn, seed, dtype, coords=6) -> SuiteEntry:

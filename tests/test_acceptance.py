@@ -22,13 +22,7 @@ from subspectral.bandstats import histogram_peak, most_alike_profiles, most_simi
 from subspectral.cli import main
 from subspectral.data import synth_fixture
 from subspectral.features import MelConfig, mel_edge_frequencies
-from subspectral.models import (
-    SubSpectralConfig,
-    build_baseline,
-    build_subspectralnet,
-    count_params,
-    split_subspectrograms,
-)
+from subspectral.models import build_model, count_params, model_description
 from subspectral.pipeline import analyze_dataset, extract_dataset, load_feature_dir
 from subspectral.training import TrainConfig, train_model
 from subspectral.verification import run_gradient_suite
@@ -47,12 +41,13 @@ def within(value, target, tolerance=0.02):
 
 
 def test_criterion_1_parameter_counts():
-    baseline = count_params(build_baseline(40, 500, 2))
-    doubled = count_params(build_baseline(40, 500, 2, width_multiplier=2))
-    cfg = SubSpectralConfig(40, 20, 10)
-    compat = count_params(build_subspectralnet(cfg, 500, 2, head_compat=True))
-    no_sub = count_params(build_subspectralnet(cfg, 500, 2, head_compat=True, include_sub_heads=False))
-    printed = count_params(build_subspectralnet(cfg, 500, 2, head_compat=False))
+    base = model_description("baseline", 40, 500, 2)
+    baseline = count_params(build_model(base))
+    doubled = count_params(build_model(dict(base, width_multiplier=2)))
+    band = model_description("subspectralnet", 40, 500, 2, sub_size=20, hop_size=10)
+    compat = count_params(build_model(dict(band, head_compat=True)))
+    no_sub = count_params(build_model(dict(band, head_compat=True, include_sub_heads=False)))
+    printed = count_params(build_model(dict(band, head_compat=False)))
     checks = [
         (within(baseline, 117_000), f"baseline {baseline} vs 117K"),
         (within(doubled, 434_000), f"doubled baseline {doubled} vs 434K"),
@@ -109,11 +104,11 @@ def trace_oracle(sub_size, frames):
 
 @pytest.mark.parametrize("mel_bins,sub,hop,expected_m", [(40, 20, 10, 3), (200, 30, 10, 18), (200, 20, 10, 19)])
 def test_criterion_3_shape_traces(mel_bins, sub, hop, expected_m):
-    cfg = SubSpectralConfig(mel_bins, sub, hop)
-    m_ok = cfg.crop_count == expected_m
-    graph = build_subspectralnet(cfg, 500, 2, dropout=0.0, seed=0)
+    graph = build_model(model_description("subspectralnet", mel_bins, 500, 2, sub_size=sub, hop_size=hop, dropout=0.0), seed=0)
+    crop_count = len(graph.bands)
+    m_ok = crop_count == expected_m
     x = np.random.default_rng(0).standard_normal((1, 2, mel_bins, 500)).astype(np.float32)
-    crops = split_subspectrograms(x, cfg)
+    crops = [x[:, :, lo:hi, :] for lo, hi in graph.bands]
     oracle = trace_oracle(sub, 500)
     mismatches = []
     h = crops[0]
@@ -122,15 +117,15 @@ def test_criterion_3_shape_traces(mel_bins, sub, hop, expected_m):
         key = layer.name.split(".")[-1]
         if key in oracle and h.shape[1:] != oracle[key]:
             mismatches.append(f"{key}: {h.shape[1:]} != {oracle[key]}")
-    concat_width = 32 * cfg.crop_count
+    concat_width = 32 * crop_count
     probs = graph.forward(x, train=True)
-    head_ok = len(probs) == cfg.crop_count + 1
+    head_ok = len(probs) == crop_count + 1
     global_in = graph.global_head.layers[0].in_features
     ok = m_ok and not mismatches and head_ok and global_in == concat_width
     report(
         3,
         ok,
-        f"(F={mel_bins}, X={sub}, Y={hop}): M={cfg.crop_count} (want {expected_m}), "
+        f"(F={mel_bins}, X={sub}, Y={hop}): M={crop_count} (want {expected_m}), "
         f"trunk shapes match oracle, concat width {global_in} == 32*M={concat_width}",
     )
 

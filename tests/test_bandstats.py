@@ -59,11 +59,6 @@ class TestProfiles:
         with pytest.raises(ValueError, match="zero samples"):
             class_mean_profiles(feats, [0], ["present", "missing"])
 
-    def test_channel_first_mode(self, rng):
-        feat = rng.standard_normal((2, F_BINS, 5))
-        profiles = class_mean_profiles([feat], [0], ["a"], channel_mode="first")
-        np.testing.assert_allclose(profiles.profiles[0], feat[0].mean(axis=1))
-
 
 class TestPerBinClassify:
     def test_exact_profile_match(self, rng):

@@ -1,0 +1,96 @@
+"""Damaged files raise their reader's typed error.
+
+Each property writes one valid file, damages it by truncation, a
+single-bit flip or an inflated u32 header field, and reads it back. The
+reader must either return or raise its typed error, never a bare numpy,
+struct or JSON error: ContainerError for .ssnf, normalizer.bin and .ssnw,
+WavFormatError or UnsupportedWavError for WAV files.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subspectral.audio import AudioClip, UnsupportedWavError, WavFormatError, load_wav, save_wav
+from subspectral.features import BinNormalizer
+from subspectral.models import model_description
+from subspectral.storage import (
+    ContainerError,
+    read_checkpoint,
+    read_features,
+    read_normalizer,
+    write_checkpoint,
+    write_features,
+    write_normalizer,
+)
+
+# a fixed, derandomized example budget per property
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
+INFLATED = st.one_of(st.sampled_from([0, 1, 2**16, 2**31 - 1, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def damaged(draw, blob: bytes, u32_offsets):
+    """blob cut short, with one bit flipped, or with one u32 header field
+    at u32_offsets set to a drawn value."""
+    how = draw(st.sampled_from(["truncate", "flip", "inflate"]))
+    if how == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    data = bytearray(blob)
+    if how == "flip":
+        bit = draw(st.integers(0, 8 * len(data) - 1))
+        data[bit // 8] ^= 1 << (bit % 8)
+    else:
+        offset = draw(st.sampled_from(u32_offsets))
+        data[offset : offset + 4] = struct.pack("<I", draw(INFLATED))
+    return bytes(data)
+
+
+def fuzz_reader(path, reader, errors, u32_offsets):
+    """Every damaged copy of the valid file at path reads, or raises one
+    of errors."""
+    blob = path.read_bytes()
+    target = path.with_name("damaged" + path.suffix)
+
+    @FUZZ
+    @given(st.data())
+    def check(data):
+        target.write_bytes(data.draw(damaged(blob, u32_offsets)))
+        try:
+            reader(target)
+        except errors:
+            pass
+
+    check()
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_feature_container(tmp_path, n):
+    path = tmp_path / "valid.ssnf"
+    write_features(path, np.random.default_rng(0).standard_normal((n, 2, 3, 4)), np.arange(n))
+    fuzz_reader(path, read_features, ContainerError, [4, 8, 12, 16, 20])
+
+
+def test_normalizer(tmp_path):
+    rng = np.random.default_rng(1)
+    path = tmp_path / "valid.bin"
+    write_normalizer(path, BinNormalizer(mean=rng.standard_normal((2, 3)), std=rng.uniform(0.5, 2.0, (2, 3))))
+    fuzz_reader(path, read_normalizer, ContainerError, [0, 4])
+
+
+def test_checkpoint(tmp_path):
+    rng = np.random.default_rng(2)
+    path = tmp_path / "valid.ssnw"
+    tensors = [("w", "param", rng.standard_normal((3, 4))), ("b", "buffer", rng.standard_normal(4))]
+    write_checkpoint(path, model_description("baseline", 40, 50, 2), tensors, meta={"best_epoch": 3})
+    fuzz_reader(path, read_checkpoint, ContainerError, [4])
+
+
+def test_wav_16bit(tmp_path):
+    path = tmp_path / "valid.wav"
+    save_wav(path, AudioClip(np.random.default_rng(3).uniform(-1, 1, (2, 40)), 8000), bits=16)
+    # RIFF size, fmt size, sample rate, byte rate, data size
+    fuzz_reader(path, load_wav, (WavFormatError, UnsupportedWavError), [4, 16, 24, 28, 40])

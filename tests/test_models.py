@@ -6,16 +6,13 @@ import numpy as np
 import pytest
 
 from subspectral.models import (
-    SubSpectralConfig,
-    build_baseline,
     build_model,
-    build_subspectralnet,
     count_params,
+    crop_ranges,
     global_head_widths,
     load_model,
     model_description,
     multi_head_loss,
-    split_subspectrograms,
 )
 from subspectral.nn import functional as F
 from subspectral.storage import ContainerError, read_checkpoint, write_checkpoint
@@ -40,7 +37,7 @@ def dimension_oracle_subclassifier(sub_size, frames, channels, time_pool):
 
 def one_band(sub_size, frames, **kw):
     """The band CNN alone: trunk and head of a one-crop band-split net."""
-    graph = build_subspectralnet(SubSpectralConfig(sub_size, sub_size, 10), frames, 2, **kw)
+    graph = build_model(model_description("subspectralnet", sub_size, frames, 2, sub_size=sub_size, **kw))
     return graph.trunks[0], graph.sub_heads[0]
 
 
@@ -84,58 +81,56 @@ def _trunk_buffers(prefix):
 
 class TestSplitConfig:
     def test_paper_geometry_40_20_10(self):
-        cfg = SubSpectralConfig(40, 20, 10)
-        assert cfg.crop_count == 3
-        assert cfg.crop_ranges() == [(0, 20), (10, 30), (20, 40)]
+        ranges = crop_ranges(40, 20, 10)
+        assert len(ranges) == 3
+        assert ranges == [(0, 20), (10, 30), (20, 40)]
 
     @pytest.mark.parametrize(
         "mel_bins,sub,hop,expected",
         [(40, 20, 10, 3), (200, 30, 10, 18), (200, 20, 10, 19), (200, 200, 1, 1), (40, 40, 1, 1)],
     )
     def test_crop_count_formula(self, mel_bins, sub, hop, expected):
-        assert SubSpectralConfig(mel_bins, sub, hop).crop_count == expected
+        assert len(crop_ranges(mel_bins, sub, hop)) == expected
 
     def test_single_crop_is_identity(self, rng):
-        cfg = SubSpectralConfig(40, 40, 1)
         x = rng.standard_normal((2, 2, 40, 7))
-        crops = split_subspectrograms(x, cfg)
+        crops = [x[:, :, lo:hi, :] for lo, hi in crop_ranges(40, 40, 1)]
         assert len(crops) == 1
         np.testing.assert_array_equal(crops[0], x)
 
     def test_crops_cover_expected_bins(self, rng):
-        cfg = SubSpectralConfig(40, 20, 10)
+        # the trunks of the built graph read the crops of crop_ranges
+        graph = build_model(model_description("subspectralnet", 40, 5, 2, time_pool=1))
         x = rng.standard_normal((1, 2, 40, 5))
-        crops = split_subspectrograms(x, cfg)
-        for (lo, hi), crop in zip(cfg.crop_ranges(), crops):
+        crops = [x[:, :, lo:hi, :] for lo, hi in graph.bands]
+        for (lo, hi), crop in zip(crop_ranges(40, 20, 10), crops):
             np.testing.assert_array_equal(crop, x[:, :, lo:hi, :])
 
     def test_overlap_regions_bit_identical(self, rng):
-        cfg = SubSpectralConfig(40, 20, 10)
         x = rng.standard_normal((1, 1, 40, 5)).astype(np.float32)
-        crops = split_subspectrograms(x, cfg)
+        crops = [x[:, :, lo:hi, :] for lo, hi in crop_ranges(40, 20, 10)]
         # crops 0 and 1 share bins [10, 20); crops 1 and 2 share [20, 30)
         np.testing.assert_array_equal(crops[0][:, :, 10:20], crops[1][:, :, :10])
         np.testing.assert_array_equal(crops[1][:, :, 10:20], crops[2][:, :, :10])
 
     def test_reassembly_reproduces_input(self, rng):
-        cfg = SubSpectralConfig(30, 10, 10)  # disjoint crops covering all bins
         x = rng.standard_normal((2, 1, 30, 4)).astype(np.float32)
-        crops = split_subspectrograms(x, cfg)
+        crops = [x[:, :, lo:hi, :] for lo, hi in crop_ranges(30, 10, 10)]  # disjoint crops covering all bins
         rebuilt = np.concatenate(crops, axis=2)
         np.testing.assert_array_equal(rebuilt, x)
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
-            SubSpectralConfig(40, 50, 10)  # crop taller than input
+            crop_ranges(40, 50, 10)  # crop taller than input
         with pytest.raises(ValueError, match="divisible by 10"):
-            SubSpectralConfig(40, 15, 10)
+            crop_ranges(40, 15, 10)
         with pytest.raises(ValueError):
-            SubSpectralConfig(40, 20, 0)
+            crop_ranges(40, 20, 0)
 
     def test_split_wrong_height_errors(self):
-        cfg = SubSpectralConfig(40, 20, 10)
+        graph = build_model(model_description("subspectralnet", 40, 5, 2, time_pool=1))
         with pytest.raises(ValueError, match="mel bins"):
-            split_subspectrograms(np.zeros((1, 2, 30, 5)), cfg)
+            graph.forward(np.zeros((1, 2, 30, 5)), train=True)
 
 
 class TestGlobalHeadWidths:
@@ -165,11 +160,11 @@ class TestShapeTraces:
         [(40, 20, 10, 500), (200, 30, 10, 500), (200, 20, 10, 500)],
     )
     def test_forward_shapes_match_dimension_oracle(self, mel_bins, sub, hop, frames):
-        cfg = SubSpectralConfig(mel_bins, sub, hop)
-        graph = build_subspectralnet(cfg, frames, 2, dropout=0.0, seed=0)
+        desc = model_description("subspectralnet", mel_bins, frames, 2, sub_size=sub, hop_size=hop, dropout=0.0)
+        graph = build_model(desc, seed=0)
         x = np.random.default_rng(0).standard_normal((1, 2, mel_bins, frames)).astype(np.float32)
-        crops = split_subspectrograms(x, cfg)
-        assert len(crops) == cfg.crop_count
+        crops = [x[:, :, lo:hi, :] for lo, hi in graph.bands]
+        assert len(crops) == len(crop_ranges(mel_bins, sub, hop))
         oracle = dimension_oracle_subclassifier(sub, frames, 2, 100)
         expected = {name: shape for name, shape in oracle}
         for trunk, crop in zip(graph.trunks[:2], crops[:2]):  # same layers; checking two is enough
@@ -208,7 +203,7 @@ class TestShapeTraces:
                 assert h.shape == (1, 32, 10, 100)
 
     def test_baseline_200_mel_flatten_width(self):
-        graph = build_baseline(200, 500, 2, dropout=0.0)
+        graph = build_model(model_description("baseline", 200, 500, 2, dropout=0.0))
         x = np.zeros((1, 2, 200, 500), dtype=np.float32)
         h = x
         for layer in graph.trunks[0].layers:
@@ -225,34 +220,34 @@ class TestParameterCounts:
         assert total == 108234
 
     def test_baseline_40_stereo(self):
-        assert count_params(build_baseline(40, 500, 2)) == 117686
-        assert abs(count_params(build_baseline(40, 500, 2)) - 117_000) / 117_000 < 0.02
+        assert count_params(build_model(model_description("baseline", 40, 500, 2))) == 117686
+        assert abs(count_params(build_model(model_description("baseline", 40, 500, 2))) - 117_000) / 117_000 < 0.02
 
     def test_baseline_doubled(self):
-        assert count_params(build_baseline(40, 500, 2, width_multiplier=2)) == 434966
+        assert count_params(build_model(model_description("baseline", 40, 500, 2, width_multiplier=2))) == 434966
 
     def test_baseline_mono_conv1_delta(self):
-        stereo = build_baseline(40, 500, 2)
-        mono = build_baseline(40, 500, 1)
+        stereo = build_model(model_description("baseline", 40, 500, 2))
+        mono = build_model(model_description("baseline", 40, 500, 1))
         assert count_params(stereo) - count_params(mono) == 32 * 7 * 7 * 1
 
     def test_subspectralnet_counts(self):
-        cfg = SubSpectralConfig(40, 20, 10)
-        assert count_params(build_subspectralnet(cfg, 500, 2, head_compat=True)) == 331560
-        assert count_params(build_subspectralnet(cfg, 500, 2, head_compat=False)) == 325672
-        assert count_params(build_subspectralnet(cfg, 500, 2, head_compat=True, include_sub_heads=False)) == 330570
+        desc = model_description("subspectralnet", 40, 500, 2, sub_size=20, hop_size=10)
+        assert count_params(build_model(dict(desc, head_compat=True))) == 331560
+        assert count_params(build_model(dict(desc, head_compat=False))) == 325672
+        assert count_params(build_model(dict(desc, head_compat=True, include_sub_heads=False))) == 330570
 
     def test_no_sub_heads_delta_is_three_heads(self):
-        cfg = SubSpectralConfig(40, 20, 10)
-        with_heads = count_params(build_subspectralnet(cfg, 500, 2, head_compat=True))
-        without = count_params(build_subspectralnet(cfg, 500, 2, head_compat=True, include_sub_heads=False))
+        desc = model_description("subspectralnet", 40, 500, 2, head_compat=True)
+        with_heads = count_params(build_model(desc))
+        without = count_params(build_model(dict(desc, include_sub_heads=False)))
         assert with_heads - without == 3 * (32 * 10 + 10)
 
     def test_count_monotone_in_crop_count(self):
         counts = []
         for hop in (20, 10, 5, 2):
-            cfg = SubSpectralConfig(40, 20, hop)
-            counts.append((cfg.crop_count, count_params(build_subspectralnet(cfg, 500, 2))))
+            graph = build_model(model_description("subspectralnet", 40, 500, 2, sub_size=20, hop_size=hop))
+            counts.append((len(graph.bands), count_params(graph)))
         counts.sort()
         assert all(a[1] <= b[1] for a, b in zip(counts, counts[1:]))
 
@@ -264,7 +259,7 @@ class TestParameterCounts:
         assert count_params(graph) == 0
 
     def test_layer_table_total_matches(self):
-        graph = build_baseline(40, 500, 2)
+        graph = build_model(model_description("baseline", 40, 500, 2))
         assert sum(r["params"] for r in graph.layer_table()) == count_params(graph)
 
 
@@ -282,8 +277,8 @@ class TestMultiHeadLoss:
         assert list(dlogits) == ["global"]
 
     def test_gradient_is_sum_of_head_gradients(self, rng):
-        cfg = SubSpectralConfig(20, 10, 10)
-        graph = build_subspectralnet(cfg, 20, 1, dropout=0.0, seed=5, dtype=np.float64)
+        desc = model_description("subspectralnet", 20, 20, 1, sub_size=10, hop_size=10, dropout=0.0)
+        graph = build_model(desc, seed=5, dtype=np.float64)
         x = rng.standard_normal((2, 1, 20, 20))
         labels = np.array([1, 8])
         store = graph.param_store()
@@ -308,8 +303,7 @@ class TestMultiHeadLoss:
 
 class TestHeadGradientFlow:
     def test_disabled_sub_losses_leave_head_params_untouched(self, rng):
-        cfg = SubSpectralConfig(40, 20, 10)
-        graph = build_subspectralnet(cfg, 50, 2, dropout=0.0, seed=2, time_pool=10)
+        graph = build_model(model_description("subspectralnet", 40, 50, 2, dropout=0.0, time_pool=10), seed=2)
         x = rng.standard_normal((2, 2, 40, 50)).astype(np.float32)
         labels = np.array([0, 5])
         store = graph.param_store()
@@ -324,11 +318,10 @@ class TestHeadGradientFlow:
             assert any(np.any(p.grad != 0) for p in trunk.params()), "trunks must still learn from the global head"
 
     def test_head_count_and_stochastic_rows(self, rng):
-        cfg = SubSpectralConfig(40, 20, 10)
-        graph = build_subspectralnet(cfg, 50, 2, dropout=0.0, seed=0, time_pool=10)
+        graph = build_model(model_description("subspectralnet", 40, 50, 2, dropout=0.0, time_pool=10), seed=0)
         x = rng.standard_normal((4, 2, 40, 50)).astype(np.float32)
         logits = graph.forward(x, train=True)
-        assert len(logits) == cfg.crop_count + 1
+        assert len(logits) == len(crop_ranges(40, 20, 10)) + 1
         probs = predict_probs(graph, x)
         assert set(probs) == set(logits)
         for p in probs.values():
@@ -336,9 +329,9 @@ class TestHeadGradientFlow:
 
 
 class TestEvalModeState:
-    @pytest.mark.parametrize("kind", ["conv2d", "batchnorm", "relu", "maxpool", "flatten", "dense"])
+    @pytest.mark.parametrize("kind", ["conv2d", "batchnorm", "relu", "maxpool", "dropout", "flatten", "dense"])
     def test_backward_after_eval_forward_raises(self, rng, kind):
-        graph = build_baseline(40, 50, 2, seed=0)
+        graph = build_model(model_description("baseline", 40, 50, 2), seed=0)
         graph.set_dropout_rng(np.random.default_rng(0))
         x = rng.standard_normal((2, 2, 40, 50)).astype(np.float32)
         graph.forward(x, train=True)
@@ -350,8 +343,8 @@ class TestEvalModeState:
 
 class TestCheckpointRoundTrip:
     def test_bit_exact_params_and_buffers(self, tmp_path, rng):
-        cfg = SubSpectralConfig(40, 20, 10)
-        graph = build_subspectralnet(cfg, 50, 2, seed=9, time_pool=10, class_names=[f"c{i}" for i in range(10)])
+        desc = model_description("subspectralnet", 40, 50, 2, time_pool=10, class_names=[f"c{i}" for i in range(10)])
+        graph = build_model(desc, seed=9)
         graph.set_dropout_rng(np.random.default_rng(0))
         # push one training batch through so BN stats are nontrivial
         x = rng.standard_normal((4, 2, 40, 50)).astype(np.float32)
@@ -369,7 +362,7 @@ class TestCheckpointRoundTrip:
             np.testing.assert_array_equal(probs_a[name], probs_b[name])
 
     def test_state_is_a_copy_that_load_state_restores(self, rng):
-        graph = build_baseline(40, 50, 2, time_pool=10, seed=3)
+        graph = build_model(model_description("baseline", 40, 50, 2, time_pool=10), seed=3)
         graph.set_dropout_rng(np.random.default_rng(0))
         x = rng.standard_normal((4, 2, 40, 50)).astype(np.float32)
         graph.forward(x, train=True)
@@ -384,7 +377,7 @@ class TestCheckpointRoundTrip:
 
     @pytest.mark.parametrize("damage", ["drop", "extra"])
     def test_checkpoint_must_hold_exactly_the_model_tensors(self, tmp_path, rng, damage):
-        graph = build_baseline(40, 50, 2, time_pool=10, seed=3)
+        graph = build_model(model_description("baseline", 40, 50, 2, time_pool=10), seed=3)
         graph.set_dropout_rng(np.random.default_rng(0))
         graph.forward(rng.standard_normal((2, 2, 40, 50)).astype(np.float32), train=True)
         path = tmp_path / "model.ssnw"
@@ -403,8 +396,7 @@ class TestCheckpointRoundTrip:
     def test_header_listing_softmax_layers_loads_and_predicts_the_same(self, tmp_path, rng):
         # checkpoints written while every head ended in a softmax layer
         # list those layers in their header; they carry no tensors
-        cfg = SubSpectralConfig(40, 20, 10)
-        graph = build_subspectralnet(cfg, 50, 2, seed=4, time_pool=10)
+        graph = build_model(model_description("subspectralnet", 40, 50, 2, time_pool=10), seed=4)
         graph.set_dropout_rng(np.random.default_rng(0))
         x = rng.standard_normal((4, 2, 40, 50)).astype(np.float32)
         graph.forward(x, train=True)
@@ -425,12 +417,12 @@ class TestCheckpointRoundTrip:
         bands = [f"sub{m}" for m in range(3)]
         cases = [
             (
-                build_baseline(40, 50, 2),
+                build_model(model_description("baseline", 40, 50, 2)),
                 _trunk_params("base") + ["base.dense2.weight", "base.dense2.bias"] + _trunk_buffers("base"),
                 _trunk_specs("base", 2, [5, 5], 128, 100) + [_dense_spec("base.dense2", 100, 10)],
             ),
             (
-                build_subspectralnet(SubSpectralConfig(40, 20, 10), 50, 2),
+                build_model(model_description("subspectralnet", 40, 50, 2, sub_size=20, hop_size=10)),
                 [n for b in bands for n in _trunk_params(b)]
                 + [f"{b}.head.{t}" for b in bands for t in ("weight", "bias")]
                 + ["global.out.weight", "global.out.bias"]
@@ -441,24 +433,23 @@ class TestCheckpointRoundTrip:
             ),
         ]
         for graph, tensor_names, layers in cases:
-            path = tmp_path / f"{graph.kind}.ssnw"
+            path = tmp_path / f"{graph.desc['kind']}.ssnw"
             graph.save(path)
             desc, tensors, _ = read_checkpoint(path)
             assert list(tensors) == tensor_names
             assert desc["layers"] == layers
 
     def test_eval_before_training_errors(self):
-        graph = build_baseline(40, 50, 2, time_pool=10)
+        graph = build_model(model_description("baseline", 40, 50, 2, time_pool=10))
         x = np.zeros((1, 2, 40, 50), dtype=np.float32)
         with pytest.raises(RuntimeError, match="eval before any training batch"):
             graph.forward(x, train=False)
 
     def test_rebuild_from_description(self):
-        cfg = SubSpectralConfig(40, 20, 10)
         for seed in (0, 3):
             for graph in (
-                build_subspectralnet(cfg, 500, 2, head_compat=True, seed=seed),
-                build_baseline(40, 500, 2, width_multiplier=2, seed=seed),
+                build_model(model_description("subspectralnet", 40, 500, 2, head_compat=True), seed=seed),
+                build_model(model_description("baseline", 40, 500, 2, width_multiplier=2), seed=seed),
             ):
                 rebuilt = build_model(graph.describe(), seed=seed)
                 assert count_params(rebuilt) == count_params(graph)
@@ -470,15 +461,15 @@ class TestCheckpointRoundTrip:
 
     def test_dropping_sub_heads_keeps_every_shared_tensor(self):
         # the dropped heads still take their init draws
-        cfg = SubSpectralConfig(40, 20, 10)
-        full = build_subspectralnet(cfg, 50, 2, head_compat=True, seed=1).state()
-        lean = build_subspectralnet(cfg, 50, 2, head_compat=True, include_sub_heads=False, seed=1).state()
+        desc = model_description("subspectralnet", 40, 50, 2, head_compat=True)
+        full = build_model(desc, seed=1).state()
+        lean = build_model(dict(desc, include_sub_heads=False), seed=1).state()
         assert set(full) - set(lean) == {f"sub{m}.head.{t}" for m in range(3) for t in ("weight", "bias")}
         for name, value in lean.items():
             np.testing.assert_array_equal(value, full[name], err_msg=name)
 
     def test_unknown_kind_and_option_are_rejected(self):
-        desc = build_baseline(40, 50, 2).describe()
+        desc = build_model(model_description("baseline", 40, 50, 2)).describe()
         with pytest.raises(ValueError, match="unknown model kind"):
             build_model(dict(desc, kind="transformer"))
         with pytest.raises(KeyError, match="width_multiplier"):
@@ -494,7 +485,7 @@ class TestBuilderErrors:
 
     def test_baseline_mel_bins_constraint(self):
         with pytest.raises(ValueError, match="divide"):
-            build_baseline(42, 500, 2)
+            build_model(model_description("baseline", 42, 500, 2))
 
     def test_sub_size_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divisible"):

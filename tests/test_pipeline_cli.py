@@ -200,10 +200,10 @@ class TestCli:
 
     @pytest.mark.parametrize("frames, code", [(50, 0), (60, 1), (100, 1)])
     def test_predict_checks_the_frame_count(self, tmp_path, capsys, frames, code):
-        from subspectral.models import build_baseline
+        from subspectral.models import build_model, model_description
         from subspectral.storage import write_features
 
-        graph = build_baseline(40, 50, 1, seed=0, n_classes=3)
+        graph = build_model(model_description("baseline", 40, 50, 1, n_classes=3), seed=0)
         graph.set_dropout_rng(np.random.default_rng(0))
         graph.forward(np.random.default_rng(1).standard_normal((4, 1, 40, 50)).astype(np.float32), train=True)
         graph.save(tmp_path / "model.ssnw")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from subspectral.features import BinNormalizer
-from subspectral.models import build_baseline, load_model
+from subspectral.models import build_model, load_model, model_description
 from subspectral.storage import (
     ContainerError,
     read_checkpoint,
@@ -76,6 +76,16 @@ class TestFeatureContainer:
             with pytest.raises(ContainerError, match=re.escape(str(path))):
                 read_features(path)
 
+    @pytest.mark.parametrize("n, c, f, t", [(1, 2**16, 2**16, 2**16), (1, 2**31, 2**31, 2**31), (0, 2**16, 2**16, 2**16)])
+    def test_inflated_header_raises_container_error(self, tmp_path, rng, n, c, f, t):
+        # header sizes that numpy cannot lay out as one record
+        path = tmp_path / "f.ssnf"
+        write_features(path, rng.standard_normal((n, 1, 2, 3)), np.zeros(n))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:8] + struct.pack("<4I", n, c, f, t) + blob[24:])
+        with pytest.raises(ContainerError, match=re.escape(str(path))):
+            read_features(path)
+
     def test_label_count_mismatch(self, tmp_path, rng):
         with pytest.raises(ValueError, match="labels"):
             write_features(tmp_path / "f.ssnf", rng.standard_normal((2, 1, 2, 2)), np.zeros(3))
@@ -107,6 +117,15 @@ class TestNormalizerSidecar:
             path.write_bytes(blob[:size])
             with pytest.raises(ContainerError, match=re.escape(str(path))):
                 read_normalizer(path)
+
+
+    @pytest.mark.parametrize("std", [0.0, -1.0])
+    def test_non_positive_std_raises_container_error(self, tmp_path, std):
+        path = tmp_path / "norm.bin"
+        write_normalizer(path, BinNormalizer(mean=np.zeros((1, 2)), std=np.ones((1, 2))))
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", std))  # the last std entry
+        with pytest.raises(ContainerError, match=re.escape(str(path))):
+            read_normalizer(path)
 
 
 class TestClassNames:
@@ -197,7 +216,7 @@ class TestCheckpoint:
         elif damage == "header_cut_short":
             blob[4:8] = struct.pack("<I", header_len - 7)
         elif damage == "mel_bins_as_string":
-            desc = dict(build_baseline(40, 50, 2).describe(), mel_bins="40")
+            desc = dict(build_model(model_description("baseline", 40, 50, 2)).describe(), mel_bins="40")
             write_checkpoint(path, desc, [])
             blob = path.read_bytes()
         elif damage == "shape_count_wraps_int64":

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from subspectral.models import build_baseline, load_model, multi_head_loss
+from subspectral.models import build_model, load_model, model_description, multi_head_loss
 from subspectral.pipeline import load_feature_dir
 from subspectral.training import (
     TrainConfig,
@@ -111,7 +111,7 @@ class TestTrainLoop:
     def test_baseline_model_trains(self, data):
         cfg = small_cfg(model="baseline", epochs=2)
         result = train_model(data["train_x"], data["train_y"], data["test_x"], data["test_y"], cfg)
-        assert result.graph.kind == "baseline"
+        assert result.graph.desc["kind"] == "baseline"
         assert result.graph.head_names() == ["global"]
 
     def test_no_sub_loss_variant_has_single_head(self, data):
@@ -134,7 +134,7 @@ class TestEvaluation:
 
     def test_all_one_class_predictor(self, data):
         # force every prediction to class 3 through a huge output bias
-        graph = build_baseline(40, 50, 2, time_pool=10, seed=0)
+        graph = build_model(model_description("baseline", 40, 50, 2, time_pool=10), seed=0)
         graph.set_dropout_rng(np.random.default_rng(0))
         graph.forward(data["train_x"][:4], train=True)  # initialize BN stats
         out_bias = graph.parameters()[-1]
