@@ -35,22 +35,24 @@ print(f"\nfirst clip: {clip.channels} channels x {clip.n_samples} samples @ {cli
 # 40 mel bins; 1 s at a 20 ms hop gives 50 frames.
 mel = MelConfig(n_mels=40)
 spec = log_mel_spectrogram(clip, mel=mel)
-print(f"log-mel spectrogram: channels x bins x frames = {spec.data.shape}")
-print(f"value range: [{spec.data.min():.1f}, {spec.data.max():.1f}] (natural log of mel energy)")
+print(f"log-mel spectrogram: channels x bins x frames = {spec.shape}")
+print(f"value range: [{spec.min():.1f}, {spec.max():.1f}] (natural log of mel energy)")
 
-# Fit normalization statistics on the train split only.
-train = [log_mel_spectrogram(load_wav(work / e.path), mel=mel) for e in manifest.split_entries("train")]
+# Fit normalization statistics on the train split only: one
+# (clips, channels, bins, frames) stack.
+entries = manifest.split_entries("train")
+train = np.stack([log_mel_spectrogram(load_wav(work / e.path), mel=mel) for e in entries])
 norm = fit_normalizer(train)
 print(f"\nnormalizer: per-(channel, bin) mean/std, shape {norm.mean.shape}")
 
-normalized = np.concatenate([apply_normalizer(s, norm).data for s in train], axis=2)
-print(f"after normalization the fitting set has per-bin mean ~ {normalized.mean():.2e} and std ~ {normalized.std():.4f}")
+normalized = apply_normalizer(train, norm)
+frames = np.concatenate(normalized, axis=2)  # every frame of the fitting set: (channels, bins, clips x frames)
+print(f"after normalization the fitting set has per-bin mean ~ {frames.mean():.2e} and std ~ {frames.std():.4f}")
 
 # Which mel bins does each class excite? The band structure is visible
 # directly in the per-class mean activation.
+labels = np.array([e.label for e in entries])
 for label in manifest.class_names:
-    clips = [e for e in manifest.split_entries("train") if e.label == label]
-    specs = [apply_normalizer(log_mel_spectrogram(load_wav(work / e.path), mel=mel), norm) for e in clips]
-    mean_act = np.mean([s.data.mean(axis=(0, 2)) for s in specs], axis=0)
+    mean_act = normalized[labels == label].mean(axis=(0, 1, 3))
     top = np.argsort(mean_act)[-5:]
     print(f"class {label}: most active mel bins {sorted(top.tolist())}")

@@ -10,7 +10,6 @@ from .audio import AudioClip, UnsupportedWavError, WavFormatError, load_wav, sav
 from .bandstats import (
     BinHistogramSet,
     ClassProfileSet,
-    DistanceMatrix,
     bin_histograms,
     class_mean_profiles,
     confusion_like_matrix,
@@ -22,7 +21,6 @@ from .data import DatasetManifest, ManifestEntry, parse_manifest, parse_manifest
 from .features import (
     BinNormalizer,
     MelConfig,
-    Spectrogram,
     StftConfig,
     apply_normalizer,
     fit_normalizer,
@@ -38,7 +36,7 @@ from .models import (
     model_description,
     multi_head_loss,
 )
-from .training import EvalReport, TrainConfig, TrainResult, evaluate_model, train_model
+from .training import TrainConfig, evaluate_model, train_model
 from .verification import run_gradient_suite
 
 __version__ = "0.1.0"

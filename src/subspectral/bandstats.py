@@ -1,10 +1,11 @@
 """Per-mel-bin activation statistics and histogram distance matrices.
 
-Workflow: build per-class mean activation profiles from normalized
-training spectrograms, run one nearest-mean classifier per mel bin over
+Workflow: build per-class mean activation profiles from the normalized
+training features, run one nearest-mean classifier per mel bin over the
 test clips, collect per-class histograms of correctly classified bins,
 then turn pairwise histogram distances into a confusion-style matrix via
-max-normalize -> 1 - exp(-k*x) -> max-normalize -> 1 - x.
+max-normalize -> 1 - exp(-k*x) -> max-normalize -> 1 - x. Each split
+comes in as one (N, C, F, T) array.
 """
 
 from __future__ import annotations
@@ -62,24 +63,24 @@ class DistanceMatrix:
             raise ValueError("matrix must be square")
 
 
-def class_mean_profiles(features, labels, class_ids) -> ClassProfileSet:
-    """Mean activation per (class, bin), concatenating samples over time.
+def _check_stack(x: np.ndarray, labels: np.ndarray) -> None:
+    if x.ndim != 4 or len(x) != len(labels):
+        raise ValueError(f"need an (N, C, F, T) stack with one label per sample, got shape {x.shape} and {len(labels)} labels")
 
-    features: iterable of (C, F, T) arrays or Spectrogram objects.
-    Frames are weighted equally, so samples of unequal length contribute
-    proportionally to their frame counts.
+
+def class_mean_profiles(features, labels, class_ids) -> ClassProfileSet:
+    """Mean activation per (class, bin) over an (N, C, F, T) stack.
+
+    Each sample contributes its channel mean summed over frames; a class
+    profile divides that by the class's total frame count.
     """
-    arrays = [np.asarray(getattr(s, "data", s), dtype=np.float64) for s in features]
+    x = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    if len(arrays) != len(labels):
-        raise ValueError("features and labels length mismatch")
+    _check_stack(x, labels)
     n_classes = len(class_ids)
-    f_bins = arrays[0].shape[1]
-    sums = np.zeros((n_classes, f_bins), dtype=np.float64)
-    frames = np.zeros(n_classes, dtype=np.int64)
-    for data, label in zip(arrays, labels):
-        sums[label] += data.mean(axis=0).sum(axis=1)  # (F,): channel mean, summed over frames
-        frames[label] += data.shape[2]
+    sums = np.zeros((n_classes, x.shape[2]), dtype=np.float64)
+    np.add.at(sums, labels, x.mean(axis=1).sum(axis=2))  # (N, F): channel mean, summed over frames
+    frames = np.bincount(labels, minlength=n_classes) * x.shape[3]
     missing = [class_ids[c] for c in range(n_classes) if frames[c] == 0]
     if missing:
         raise ValueError(f"classes with zero samples: {missing}")
@@ -89,15 +90,16 @@ def class_mean_profiles(features, labels, class_ids) -> ClassProfileSet:
 def per_bin_classify(test, profiles: ClassProfileSet) -> np.ndarray:
     """Nearest-mean prediction at every mel bin independently.
 
-    Returns a length-F int array: argmin over classes of the squared
+    test is one (C, F, T) clip or an (N, C, F, T) stack. Returns an int
+    array of shape (F,) or (N, F): argmin over classes of the squared
     difference between the clip's temporal mean at that bin and the class
     profile. Ties break toward the lowest class index.
     """
-    summary = np.asarray(getattr(test, "data", test), dtype=np.float64).mean(axis=2).mean(axis=0)  # (F,): channel mean
-    if summary.shape[0] != profiles.profiles.shape[1]:
-        raise ValueError(f"clip has {summary.shape[0]} bins, profiles have {profiles.profiles.shape[1]}")
-    sq = (profiles.profiles - summary[None, :]) ** 2  # (n_classes, F)
-    return np.argmin(sq, axis=0)
+    summary = np.asarray(test, dtype=np.float64).mean(axis=-1).mean(axis=-2)  # (..., F): channel mean
+    if summary.shape[-1] != profiles.profiles.shape[1]:
+        raise ValueError(f"clip has {summary.shape[-1]} bins, profiles have {profiles.profiles.shape[1]}")
+    sq = (profiles.profiles - summary[..., None, :]) ** 2  # (..., n_classes, F)
+    return np.argmin(sq, axis=-2)
 
 
 def bin_histograms(test_set, labels, profiles: ClassProfileSet) -> BinHistogramSet:
@@ -106,16 +108,16 @@ def bin_histograms(test_set, labels, profiles: ClassProfileSet) -> BinHistogramS
     Counts, per class c and bin f, the test clips of class c whose bin-f
     prediction equals c, then scales each class row so its maximum is 1.
     """
+    x = np.asarray(test_set)
     labels = np.asarray(labels)
     if len(labels) == 0:
         raise ValueError("empty test set")
+    _check_stack(x, labels)
     n_classes = len(profiles.class_ids)
+    preds = per_bin_classify(x, profiles)  # (N, F)
     counts = np.zeros((n_classes, profiles.profiles.shape[1]), dtype=np.float64)
-    seen = np.zeros(n_classes, dtype=np.int64)
-    for spec, label in zip(test_set, labels):
-        preds = per_bin_classify(spec, profiles)
-        counts[label] += preds == label
-        seen[label] += 1
+    np.add.at(counts, labels, preds == labels[:, None])
+    seen = np.bincount(labels, minlength=n_classes)
     missing = [profiles.class_ids[c] for c in range(n_classes) if seen[c] == 0]
     if missing:
         raise ValueError(f"classes absent from test set: {missing}")

@@ -4,6 +4,10 @@ Feature recipe: 2048-point STFT over 40 ms Hamming windows hopped by
 20 ms, power spectrum, triangular Slaney-style mel filterbank with area
 normalization, natural log with a 1e-10 floor. All constants live here so
 an alternative frontend can be configured to match.
+
+Features are plain float32 arrays: one clip is (C, F, T), a split is one
+stacked (N, C, F, T) array, and the normalizer is fitted on and applied
+to that stack.
 """
 
 from __future__ import annotations
@@ -93,32 +97,6 @@ class MelConfig:
 
 
 @dataclass
-class Spectrogram:
-    """Log mel-energy tensor: (channels, mel_bins, frames) float32."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float32)
-        if self.data.ndim != 3:
-            raise ValueError(f"spectrogram must be (C, F, T), got shape {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("spectrogram contains non-finite values")
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def mel_bins(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def frames(self) -> int:
-        return self.data.shape[2]
-
-
-@dataclass
 class BinNormalizer:
     """Per-(channel, mel-bin) standardization statistics, float64."""
 
@@ -130,8 +108,10 @@ class BinNormalizer:
         self.std = np.asarray(self.std, dtype=np.float64)
         if self.mean.shape != self.std.shape or self.mean.ndim != 2:
             raise ValueError("mean/std must both be (C, F)")
-        if np.any(self.std <= 0):
-            raise ValueError("std entries must be positive")
+        if not np.all(np.isfinite(self.mean)):
+            raise ValueError("mean entries must be finite")
+        if not np.all((self.std > 0) & np.isfinite(self.std)):
+            raise ValueError("std entries must be finite and positive")
 
 
 def mel_edge_frequencies(mel: MelConfig, sample_rate: int) -> np.ndarray:
@@ -180,8 +160,8 @@ def log_mel_spectrogram(
     stft: StftConfig = StftConfig(),
     mel: MelConfig = MelConfig(),
     target_frames: int | None = None,
-) -> Spectrogram:
-    """Extract a (C, F, T) log mel-energy spectrogram from an AudioClip.
+) -> np.ndarray:
+    """Extract a (C, F, T) float32 log mel-energy spectrogram from an AudioClip.
 
     Frames are centered at multiples of the hop (reflect padding), giving
     1 + ceil(n/hop) raw frames; trailing frames are cropped to
@@ -216,42 +196,42 @@ def log_mel_spectrogram(
         power = np.abs(spectrum) ** 2
         energies = power @ filterbank.T  # (T, F)
         channels.append(np.log(energies + LOG_FLOOR).T)
-    return Spectrogram(data=np.stack(channels, axis=0))
+    spec = np.stack(channels, axis=0).astype(np.float32)
+    if not np.all(np.isfinite(spec)):
+        raise ValueError("spectrogram contains non-finite values")
+    return spec
 
 
-def _check_homogeneous(samples) -> tuple[int, int]:
-    if not samples:
-        raise ValueError("need at least one spectrogram")
-    c, f = samples[0].data.shape[:2]
-    for i, s in enumerate(samples):
-        if s.data.shape[:2] != (c, f):
-            raise ValueError(f"spectrogram {i} has shape {s.data.shape[:2]}, expected ({c}, {f})")
-    return c, f
+def fit_normalizer(x: np.ndarray) -> BinNormalizer:
+    """Per-(channel, bin) mean/std over all frames of an (N, C, F, T) stack.
 
-
-def fit_normalizer(samples) -> BinNormalizer:
-    """Per-(channel, bin) mean/std over all frames of all spectrograms.
-
-    Population statistics, accumulated in float64 two passes so the result
-    is independent of sample order; std floored at 1e-8.
+    Population statistics, accumulated in float64 in two passes so the
+    result is independent of sample order; std floored at 1e-8.
     """
-    c, f = _check_homogeneous(samples)
-    n_frames = sum(s.frames for s in samples)
-    total = np.zeros((c, f), dtype=np.float64)
-    for s in samples:
-        total += s.data.sum(axis=2, dtype=np.float64)
-    mean = total / n_frames
-    sq = np.zeros((c, f), dtype=np.float64)
-    for s in samples:
-        d = s.data.astype(np.float64) - mean[:, :, None]
+    if x.ndim != 4 or x.shape[0] == 0:
+        raise ValueError(f"need a non-empty (N, C, F, T) stack, got shape {x.shape}")
+    n_frames = x.shape[0] * x.shape[3]
+    mean = x.sum(axis=3, dtype=np.float64).sum(axis=0) / n_frames
+    sq = np.zeros_like(mean)
+    # clip by clip: one 4-D einsum sums in another order and changes the std bits
+    for clip in x:
+        d = clip.astype(np.float64) - mean[:, :, None]
         sq += np.einsum("cft,cft->cf", d, d)
     std = np.sqrt(sq / n_frames)
     return BinNormalizer(mean=mean, std=np.maximum(std, STD_FLOOR))
 
 
-def apply_normalizer(s: Spectrogram, norm: BinNormalizer) -> Spectrogram:
-    """Standardize per (channel, bin): (x - mean) / std."""
-    if s.data.shape[:2] != norm.mean.shape:
-        raise ValueError(f"normalizer shape {norm.mean.shape} does not match spectrogram {s.data.shape[:2]}")
-    out = (s.data.astype(np.float64) - norm.mean[:, :, None]) / norm.std[:, :, None]
-    return Spectrogram(data=out.astype(np.float32))
+def apply_normalizer(x: np.ndarray, norm: BinNormalizer) -> np.ndarray:
+    """Standardize per (channel, bin): (x - mean) / std, as float32.
+
+    x is any array whose last three axes are (C, F, T): one clip or a stack.
+    """
+    if x.shape[-3:-1] != norm.mean.shape:
+        raise ValueError(f"normalizer shape {norm.mean.shape} does not match features {x.shape}")
+    out = x.astype(np.float64)
+    out -= norm.mean[:, :, None]
+    out /= norm.std[:, :, None]
+    out = out.astype(np.float32)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("normalized features contain non-finite values")
+    return out

@@ -19,7 +19,6 @@ from .layers import (
     Parameter,
     ReLU,
     Sequential,
-    glorot_uniform,
 )
 from .optim import ParamStore, adam_step
 
@@ -38,7 +37,6 @@ __all__ = [
     "Sequential",
     "adam_step",
     "functional",
-    "glorot_uniform",
     "grad_check",
     "relative_error",
     "sample_coords",

@@ -1,8 +1,9 @@
 """End-to-end stages: manifest -> features on disk -> band statistics.
 
-Normalization statistics come from the training split only and are
-persisted next to the feature containers so evaluation and later runs
-reuse them.
+Each split's features are one (N, C, F, T) float32 array from extraction
+through storage to the band statistics. Normalization statistics come
+from the training split only and are persisted next to the feature
+containers.
 """
 
 from __future__ import annotations
@@ -14,15 +15,7 @@ import numpy as np
 from . import bandstats, storage
 from .audio import load_wav, to_mono
 from .data import DatasetManifest
-from .features import (
-    BinNormalizer,
-    MelConfig,
-    Spectrogram,
-    StftConfig,
-    apply_normalizer,
-    fit_normalizer,
-    log_mel_spectrogram,
-)
+from .features import MelConfig, StftConfig, apply_normalizer, fit_normalizer, log_mel_spectrogram
 
 TRAIN_FILE = "train.ssnf"
 TEST_FILE = "test.ssnf"
@@ -38,8 +31,13 @@ def extract_split(
     mel: MelConfig,
     channels: str = "stereo",
     target_frames: int | None = None,
-) -> tuple[list[Spectrogram], np.ndarray]:
-    """Extract raw (unnormalized) spectrograms for one split."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Extract one split's raw (unnormalized) features as an (N, C, F, T)
+    float32 stack, with its uint32 label ids.
+
+    Every clip must give the first clip's (C, F, T) shape; the error for
+    one that does not names its path.
+    """
     root = Path(audio_root)
     specs = []
     labels = []
@@ -50,11 +48,16 @@ def extract_split(
         clip = load_wav(clip_path)
         if channels == "mono":
             clip = to_mono(clip)
-        specs.append(log_mel_spectrogram(clip, stft, mel, target_frames))
+        spec = log_mel_spectrogram(clip, stft, mel, target_frames)
+        if specs and spec.shape != specs[0].shape:
+            raise ValueError(f"{clip_path}: spectrogram shape {spec.shape} differs from the first clip's {specs[0].shape}")
+        specs.append(spec)
         labels.append(manifest.label_id(entry.label))
     if not specs:
         raise ValueError(f"manifest has no entries for split {split!r}")
-    return specs, np.asarray(labels, dtype=np.uint32)
+    # np.stack keeps the spectrograms' memory layout, on which the summation
+    # order, and so the bits, of fit_normalizer's float64 statistics depend
+    return np.stack(specs), np.asarray(labels, dtype=np.uint32)
 
 
 def extract_dataset(
@@ -79,40 +82,34 @@ def extract_dataset(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    train_specs, train_labels = extract_split(manifest, "train", audio_root, stft, mel, channels, target_frames)
-    test_specs, test_labels = extract_split(manifest, "test", audio_root, stft, mel, channels, target_frames)
-    norm = fit_normalizer(train_specs)
-
-    def pack(specs):
-        return np.stack([apply_normalizer(s, norm).data for s in specs], axis=0)
-
-    train_x = pack(train_specs)
-    test_x = pack(test_specs)
+    train_raw, train_labels = extract_split(manifest, "train", audio_root, stft, mel, channels, target_frames)
+    test_raw, test_labels = extract_split(manifest, "test", audio_root, stft, mel, channels, target_frames)
+    norm = fit_normalizer(train_raw)
+    train_x = apply_normalizer(train_raw, norm)
+    test_x = apply_normalizer(test_raw, norm)
     storage.write_features(out_dir / TRAIN_FILE, train_x, train_labels)
     storage.write_features(out_dir / TEST_FILE, test_x, test_labels)
     storage.write_normalizer(out_dir / NORMALIZER_FILE, norm)
     storage.write_class_names(out_dir / LABELS_FILE, manifest.class_names)
     return {
-        "train_samples": len(train_specs),
-        "test_samples": len(test_specs),
+        "train_samples": len(train_x),
+        "test_samples": len(test_x),
         "shape": tuple(train_x.shape[1:]),
         "class_names": manifest.class_names,
     }
 
 
 def load_feature_dir(features_dir) -> dict:
-    """Read back what extract_dataset wrote."""
+    """Read back the features and class names that extract_dataset wrote."""
     features_dir = Path(features_dir)
     train_x, train_y = storage.read_features(features_dir / TRAIN_FILE)
     test_x, test_y = storage.read_features(features_dir / TEST_FILE)
-    norm = storage.read_normalizer(features_dir / NORMALIZER_FILE)
     class_names = storage.read_class_names(features_dir / LABELS_FILE)
     return {
         "train_x": train_x,
         "train_y": train_y.astype(np.int64),
         "test_x": test_x,
         "test_y": test_y.astype(np.int64),
-        "normalizer": norm,
         "class_names": class_names,
     }
 

@@ -33,19 +33,19 @@ def spec_of(value_per_bin, frames=4, channels=2, jitter=None):
 
 class TestProfiles:
     def test_one_constant_sample_per_class(self):
-        feats = [spec_of([v] * F_BINS) for v in (1.0, -2.0, 0.5)]
+        feats = np.stack([spec_of([v] * F_BINS) for v in (1.0, -2.0, 0.5)])
         profiles = class_mean_profiles(feats, [0, 1, 2], ["a", "b", "c"])
         np.testing.assert_allclose(profiles.profiles[0], 1.0)
         np.testing.assert_allclose(profiles.profiles[1], -2.0)
         np.testing.assert_allclose(profiles.profiles[2], 0.5)
 
     def test_two_samples_average(self):
-        feats = [spec_of([1.0] * F_BINS), spec_of([3.0] * F_BINS)]
+        feats = np.stack([spec_of([1.0] * F_BINS), spec_of([3.0] * F_BINS)])
         profiles = class_mean_profiles(feats, [0, 0], ["only"])
         np.testing.assert_allclose(profiles.profiles[0], 2.0)
 
     def test_matches_concatenate_then_mean_oracle(self, rng):
-        feats = [rng.standard_normal((2, F_BINS, rng.integers(3, 8))) for _ in range(15)]
+        feats = rng.standard_normal((15, 2, F_BINS, 7))
         labels = rng.integers(0, 3, 15)
         while len(set(labels.tolist())) < 3:
             labels = rng.integers(0, 3, 15)
@@ -55,7 +55,7 @@ class TestProfiles:
             np.testing.assert_allclose(profiles.profiles[c], stacked.mean(axis=1), rtol=1e-9, atol=1e-12)
 
     def test_missing_class_errors(self):
-        feats = [spec_of([1.0] * F_BINS)]
+        feats = spec_of([1.0] * F_BINS)[None]
         with pytest.raises(ValueError, match="zero samples"):
             class_mean_profiles(feats, [0], ["present", "missing"])
 
@@ -86,6 +86,14 @@ class TestPerBinClassify:
             table = [(summary[f] - profiles.profiles[c, f]) ** 2 for c in range(7)]
             assert preds[f] == int(np.argmin(table))
 
+    def test_stack_matches_clip_by_clip(self, rng):
+        profiles = ClassProfileSet(class_ids=list(range(5)), profiles=rng.standard_normal((5, F_BINS)) * 0.3)
+        stack = rng.standard_normal((12, 2, F_BINS, 9)).astype(np.float32)
+        preds = per_bin_classify(stack, profiles)
+        assert preds.shape == (12, F_BINS)
+        for clip, row in zip(stack, preds):
+            np.testing.assert_array_equal(row, per_bin_classify(clip, profiles))
+
     @given(scale=st.floats(0.1, 10.0), shift=st.floats(-5.0, 5.0))
     @settings(max_examples=25, deadline=None)
     def test_invariant_under_positive_affine_transform(self, scale, shift):
@@ -106,14 +114,14 @@ class TestBinHistograms:
 
     def test_perfect_test_set_gives_all_ones(self, rng):
         profiles = self.make_profiles(rng)
-        test = [spec_of(profiles.profiles[c]) for c in range(3)]
+        test = np.stack([spec_of(profiles.profiles[c]) for c in range(3)])
         hists = bin_histograms(test, [0, 1, 2], profiles)
         np.testing.assert_allclose(hists.hist, 1.0)
 
     def test_never_correct_bin_is_zero(self):
         profiles = ClassProfileSet(class_ids=[0, 1], profiles=np.array([[0.0, 0.0], [4.0, 4.0]]))
         # class-0 clips sit exactly on class 1 at bin 1
-        clips = [spec_of([0.0, 4.0]), spec_of([4.0, 4.0])]
+        clips = np.stack([spec_of([0.0, 4.0]), spec_of([4.0, 4.0])])
         hists = bin_histograms(clips, [0, 1], profiles)
         assert hists.hist[0, 1] == 0.0
         assert hists.hist[0, 0] == 1.0
@@ -121,16 +129,35 @@ class TestBinHistograms:
     def test_class_absent_from_test_set_errors(self, rng):
         profiles = self.make_profiles(rng)
         with pytest.raises(ValueError, match="absent"):
-            bin_histograms([spec_of(profiles.profiles[0])], [0], profiles)
+            bin_histograms(spec_of(profiles.profiles[0])[None], [0], profiles)
 
     def test_order_invariant(self, rng):
         profiles = self.make_profiles(rng)
-        clips = [spec_of(profiles.profiles[c % 3], jitter=rng.standard_normal((2, F_BINS, 4)) * 0.5) for c in range(9)]
-        labels = [c % 3 for c in range(9)]
+        clips = np.stack([spec_of(profiles.profiles[c % 3], jitter=rng.standard_normal((2, F_BINS, 4)) * 0.5) for c in range(9)])
+        labels = np.arange(9) % 3
         a = bin_histograms(clips, labels, profiles)
         order = rng.permutation(9)
-        b = bin_histograms([clips[i] for i in order], [labels[i] for i in order], profiles)
+        b = bin_histograms(clips[order], labels[order], profiles)
         np.testing.assert_array_equal(a.hist, b.hist)
+
+    def test_matches_clip_by_clip_reference(self, rng):
+        profiles = self.make_profiles(rng, n_classes=4)
+        labels = np.array([0, 1, 2, 3, 0, 1, 2, 3, 0, 2, 2, 1])
+        clips = np.stack([spec_of(profiles.profiles[c], jitter=rng.standard_normal((2, F_BINS, 4)) * 2.0) for c in labels])
+        counts = np.zeros((4, F_BINS))
+        for clip, label in zip(clips, labels):
+            counts[label] += per_bin_classify(clip, profiles) == label
+        reference = counts / counts.max(axis=1, keepdims=True)
+        assert np.unique(reference).size > 2  # the jitter makes some bins wrong for some clips
+        np.testing.assert_array_equal(bin_histograms(clips, labels, profiles).hist, reference)
+
+    def test_labels_must_match_the_stack(self, rng):
+        profiles = self.make_profiles(rng)
+        clips = np.stack([spec_of(profiles.profiles[c]) for c in range(3)])
+        with pytest.raises(ValueError, match="one label per sample"):
+            bin_histograms(clips, [0, 1, 2, 0], profiles)
+        with pytest.raises(ValueError, match="one label per sample"):
+            bin_histograms(clips[0], [0, 1], profiles)
 
     def test_max_normalization(self, rng):
         profiles = self.make_profiles(rng)
@@ -140,7 +167,7 @@ class TestBinHistograms:
             labels.append(c)
             clips.append(spec_of(profiles.profiles[(c + 1) % 3]))  # always wrong
             labels.append(c)
-        hists = bin_histograms(clips, labels, profiles)
+        hists = bin_histograms(np.stack(clips), labels, profiles)
         assert np.all(hists.hist.max(axis=1) == 1.0)
 
 

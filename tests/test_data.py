@@ -141,7 +141,7 @@ class TestSynthFixture:
         lo, hi = meta["bands_hz"]["band00"]
         clip = load_wav(out / "audio" / "band00-000.wav")
         spec = log_mel_spectrogram(clip, mel=MelConfig(n_mels=40))
-        mean_energy = spec.data.mean(axis=(0, 2))
+        mean_energy = spec.mean(axis=(0, 2))
         peak = int(np.argmax(mean_energy))
         edges = mel_edge_frequencies(MelConfig(n_mels=40), 48000)
         # band 0 spans the lowest slice of the spectrum
@@ -161,7 +161,7 @@ class TestSynthFixture:
             [
                 np.mean(
                     [
-                        log_mel_spectrogram(load_wav(out / e.path), mel=mel).data.mean(axis=(0, 2))
+                        log_mel_spectrogram(load_wav(out / e.path), mel=mel).mean(axis=(0, 2))
                         for e in manifest.entries
                         if e.label == name
                     ],

@@ -9,7 +9,6 @@ from subspectral.features import (
     STD_FLOOR,
     BinNormalizer,
     MelConfig,
-    Spectrogram,
     StftConfig,
     apply_normalizer,
     fit_normalizer,
@@ -34,7 +33,7 @@ class TestFraming:
     def test_ten_second_clip_gives_500_frames(self):
         clip = AudioClip(samples=np.zeros((2, 480000)), sample_rate=SR)
         spec = log_mel_spectrogram(clip, mel=MelConfig(n_mels=40))
-        assert spec.data.shape == (2, 40, 500)
+        assert spec.shape == (2, 40, 500)
         # raw count before the trailing crop: 1 + 480000/960
         assert frame_count(480000, 960) == 501
 
@@ -56,6 +55,12 @@ class TestFraming:
         samples = np.zeros((1, 48000))
         samples[0, 5] = np.nan
         with pytest.raises(ValueError, match="NaN"):
+            log_mel_spectrogram(AudioClip(samples=samples, sample_rate=SR))
+
+    def test_inf_sample_gives_non_finite_error(self):
+        samples = np.zeros((1, 48000))
+        samples[0, 5] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
             log_mel_spectrogram(AudioClip(samples=samples, sample_rate=SR))
 
     def test_window_longer_than_fft_errors(self):
@@ -89,15 +94,15 @@ class TestLogMel:
     def test_silence_hits_log_floor(self):
         clip = AudioClip(samples=np.zeros((2, 48000)), sample_rate=SR)
         spec = log_mel_spectrogram(clip, mel=MelConfig(n_mels=40))
-        assert np.all(np.isfinite(spec.data))
-        np.testing.assert_allclose(spec.data, np.log(LOG_FLOOR), rtol=1e-6)
+        assert np.all(np.isfinite(spec))
+        np.testing.assert_allclose(spec, np.log(LOG_FLOOR), rtol=1e-6)
 
     @pytest.mark.parametrize("band", [2, 7, 13, 25, 39])
     def test_sine_at_band_center_peaks_there(self, band):
         stft, mel = StftConfig(), MelConfig(n_mels=40)
         centers = mel_edge_frequencies(mel, SR)[1:-1]
         spec = log_mel_spectrogram(tone(centers[band]), stft, mel)
-        assert int(np.argmax(spec.data[0].mean(axis=1))) == band
+        assert int(np.argmax(spec[0].mean(axis=1))) == band
 
     def test_sine_matches_single_frame_oracle(self):
         # direct DFT + filterbank dot product on one hand-built frame
@@ -112,14 +117,14 @@ class TestLogMel:
         power = np.abs(np.fft.rfft(frame, n=stft.fft_size)) ** 2
         oracle = np.log(mel_filterbank(mel, stft, SR) @ power + LOG_FLOOR)
         spec = log_mel_spectrogram(clip, stft, mel)
-        np.testing.assert_allclose(spec.data[0, :, frame_index], oracle, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(spec[0, :, frame_index], oracle, rtol=1e-5, atol=1e-5)
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(0)
         clip = AudioClip(samples=rng.standard_normal((2, 48000)) * 0.2, sample_rate=SR)
         a = log_mel_spectrogram(clip)
         b = log_mel_spectrogram(clip)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_stereo_channels_independent(self):
         rng = np.random.default_rng(1)
@@ -128,66 +133,80 @@ class TestLogMel:
         clip = AudioClip(samples=np.stack([left, right]), sample_rate=SR)
         spec = log_mel_spectrogram(clip, mel=MelConfig(n_mels=40))
         mono = log_mel_spectrogram(AudioClip(samples=left[None], sample_rate=SR), mel=MelConfig(n_mels=40))
-        np.testing.assert_array_equal(spec.data[0], mono.data[0])
-        np.testing.assert_allclose(spec.data[1], np.log(LOG_FLOOR), rtol=1e-6)
+        np.testing.assert_array_equal(spec[0], mono[0])
+        np.testing.assert_allclose(spec[1], np.log(LOG_FLOOR), rtol=1e-6)
 
 
 def const_spec(value, shape=(2, 4, 6)):
-    return Spectrogram(data=np.full(shape, value, dtype=np.float32))
+    return np.full(shape, value, dtype=np.float32)
+
+
+def const_stack(*values, shape=(2, 4, 6)):
+    return np.stack([const_spec(v, shape) for v in values])
 
 
 class TestNormalizer:
     def test_constant_spectrogram(self):
-        norm = fit_normalizer([const_spec(3.5)])
+        norm = fit_normalizer(const_stack(3.5))
         np.testing.assert_allclose(norm.mean, 3.5, rtol=1e-6)
         np.testing.assert_allclose(norm.std, STD_FLOOR)
 
     def test_two_point_population_std(self):
-        norm = fit_normalizer([const_spec(0.0), const_spec(2.0)])
+        norm = fit_normalizer(const_stack(0.0, 2.0))
         np.testing.assert_allclose(norm.mean, 1.0)
         np.testing.assert_allclose(norm.std, 1.0)
 
     def test_matches_two_pass_oracle(self, rng):
-        specs = [Spectrogram(data=rng.standard_normal((2, 8, 15)).astype(np.float32) * 3 + 1) for _ in range(100)]
-        norm = fit_normalizer(specs)
-        stacked = np.concatenate([s.data.astype(np.float64) for s in specs], axis=2)
+        x = rng.standard_normal((100, 2, 8, 15)).astype(np.float32) * 3 + 1
+        norm = fit_normalizer(x)
+        stacked = np.concatenate(x.astype(np.float64), axis=2)
         np.testing.assert_allclose(norm.mean, stacked.mean(axis=2), rtol=1e-6)
         np.testing.assert_allclose(norm.std, stacked.std(axis=2), rtol=1e-6)
 
     def test_order_independent_within_tolerance(self, rng):
-        specs = [Spectrogram(data=rng.standard_normal((1, 5, 9)).astype(np.float32)) for _ in range(50)]
-        a = fit_normalizer(specs)
-        b = fit_normalizer(specs[::-1])
+        x = rng.standard_normal((50, 1, 5, 9)).astype(np.float32)
+        a = fit_normalizer(x)
+        b = fit_normalizer(x[::-1])
         np.testing.assert_allclose(a.mean, b.mean, rtol=1e-9)
         np.testing.assert_allclose(a.std, b.std, rtol=1e-9)
 
     def test_shape_mismatch_errors(self):
         with pytest.raises(ValueError, match="shape"):
-            fit_normalizer([const_spec(1.0, (2, 4, 6)), const_spec(1.0, (2, 5, 6))])
-        with pytest.raises(ValueError):
-            fit_normalizer([])
+            fit_normalizer(const_spec(1.0, (2, 4, 6)))  # one clip, not a stack
+        with pytest.raises(ValueError, match="shape"):
+            fit_normalizer(np.zeros((0, 2, 4, 6), dtype=np.float32))
 
     def test_identity_normalizer(self):
         spec = const_spec(2.0)
         norm = BinNormalizer(mean=np.zeros((2, 4)), std=np.ones((2, 4)))
-        np.testing.assert_array_equal(apply_normalizer(spec, norm).data, spec.data)
+        np.testing.assert_array_equal(apply_normalizer(spec, norm), spec)
 
     def test_constant_equal_to_mean_gives_zeros(self):
-        spec = const_spec(7.0)
-        norm = fit_normalizer([spec])
-        np.testing.assert_allclose(apply_normalizer(spec, norm).data, 0.0)
+        x = const_stack(7.0)
+        norm = fit_normalizer(x)
+        np.testing.assert_allclose(apply_normalizer(x, norm), 0.0)
 
     def test_fit_then_apply_standardizes(self, rng):
-        specs = [Spectrogram(data=(rng.standard_normal((2, 5, 20)) * 2 + 5).astype(np.float32)) for _ in range(20)]
-        norm = fit_normalizer(specs)
-        normalized = np.concatenate([apply_normalizer(s, norm).data.astype(np.float64) for s in specs], axis=2)
-        np.testing.assert_allclose(normalized.mean(axis=2), 0.0, atol=1e-5)
-        np.testing.assert_allclose(normalized.std(axis=2), 1.0, atol=1e-5)
+        x = (rng.standard_normal((20, 2, 5, 20)) * 2 + 5).astype(np.float32)
+        norm = fit_normalizer(x)
+        normalized = apply_normalizer(x, norm).astype(np.float64)
+        np.testing.assert_allclose(normalized.mean(axis=(0, 3)), 0.0, atol=1e-5)
+        np.testing.assert_allclose(normalized.std(axis=(0, 3)), 1.0, atol=1e-5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_apply_rejects_non_finite(self, bad):
+        x = const_stack(1.0, 2.0)
+        x[1, 0, 2, 3] = bad
+        norm = BinNormalizer(mean=np.zeros((2, 4)), std=np.ones((2, 4)))
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_normalizer(x, norm)
 
     def test_apply_shape_mismatch(self):
         norm = BinNormalizer(mean=np.zeros((1, 4)), std=np.ones((1, 4)))
         with pytest.raises(ValueError, match="match"):
             apply_normalizer(const_spec(1.0, (2, 4, 6)), norm)
+        with pytest.raises(ValueError, match="match"):
+            apply_normalizer(const_stack(1.0, shape=(2, 4, 6)), norm)
 
 
 class TestConfigValidation:

@@ -1,11 +1,14 @@
 """End-to-end pipeline and command-line interface tests (tiny scale)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from subspectral.audio import AudioClip, load_wav, save_wav
 from subspectral.cli import main
+from subspectral.data import synth_fixture
 from subspectral.pipeline import analyze_dataset, extract_dataset, load_feature_dir
 from subspectral.storage import read_checkpoint, read_features, write_checkpoint
 
@@ -82,6 +85,21 @@ class TestExtractPipeline:
         )
         with pytest.raises(FileNotFoundError, match="nope.wav"):
             extract_dataset(broken, out_dir, tmp_path / "x")
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("odd", ["shorter", "mono"])
+    def test_odd_clip_shape_is_named(self, tmp_path, capsys, split, odd):
+        fix = tmp_path / "fix"
+        manifest = synth_fixture(2, 3, fix, test_per_class=1, seconds=0.5, seed=3)
+        entry = manifest.split_entries(split)[-1]
+        clip = load_wav(fix / entry.path)
+        samples = clip.samples[:, : clip.n_samples // 2] if odd == "shorter" else clip.samples[:1]
+        save_wav(fix / entry.path, AudioClip(samples=samples, sample_rate=clip.sample_rate))
+        with pytest.raises(ValueError, match=re.escape(entry.path)):
+            extract_dataset(manifest, fix, tmp_path / "feat")
+        args = ["extract", "--manifest", str(fix / "manifest.tsv"), "--audio-root", str(fix), "--out", str(tmp_path / "cli")]
+        assert main(args) == 1
+        assert entry.path in capsys.readouterr().err
 
     def test_mono_channel_mode(self, fixture_dir, tmp_path):
         out_dir, manifest = fixture_dir

@@ -119,11 +119,17 @@ class TestNormalizerSidecar:
                 read_normalizer(path)
 
 
-    @pytest.mark.parametrize("std", [0.0, -1.0])
-    def test_non_positive_std_raises_container_error(self, tmp_path, std):
+    @pytest.mark.parametrize(
+        "offset, value",
+        [(-8, 0.0), (-8, -1.0), (-8, float("nan")), (-8, float("inf")), (8, float("nan"))],
+        ids=["0.0", "-1.0", "nan", "inf", "mean-nan"],
+    )
+    def test_non_positive_std_raises_container_error(self, tmp_path, offset, value):
         path = tmp_path / "norm.bin"
         write_normalizer(path, BinNormalizer(mean=np.zeros((1, 2)), std=np.ones((1, 2))))
-        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", std))  # the last std entry
+        blob = bytearray(path.read_bytes())
+        blob[offset : offset + 8 or None] = struct.pack("<d", value)  # the last std entry, or the first mean entry
+        path.write_bytes(bytes(blob))
         with pytest.raises(ContainerError, match=re.escape(str(path))):
             read_normalizer(path)
 
