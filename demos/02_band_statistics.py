@@ -14,7 +14,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from subspectral.bandstats import histogram_peak, most_alike_profiles, most_similar_pair
+from subspectral.bandstats import histogram_peak, most_alike_profiles, most_similar_pair, pairwise_distances
 from subspectral.data import synth_fixture
 from subspectral.pipeline import analyze_dataset, extract_dataset
 
@@ -38,14 +38,19 @@ for idx, name in enumerate(hists.class_ids):
 pair = most_alike_profiles(artifacts["profiles"])
 print(f"\nmost alike class-mean profiles: {hists.class_ids[pair[0]]}, {hists.class_ids[pair[1]]}")
 
-print("\ndistance matrices after the confusion-resemblance transform (k=10):")
+# At k = 10 the transform saturates: 1 - exp(-10 x) is near 1 for all
+# but the smallest scaled distances, so most off-diagonal entries print
+# near 0. The raw distances on the right keep the spread; the transform
+# is monotone, so both sides single out the same pair.
+print("\ndistance matrices after the confusion-resemblance transform (k=10), raw distances on the right:")
+columns = " ".join(f"{c[-2:]:>6}" for c in hists.class_ids)
 for metric, matrix in artifacts["matrices"].items():
     pair = most_similar_pair(matrix)
     names = (hists.class_ids[pair[0]], hists.class_ids[pair[1]])
+    raw = pairwise_distances(hists, metric)
     print(f"\n{metric}: most similar pair {names}")
-    header = "        " + " ".join(f"{c[-2:]:>6}" for c in hists.class_ids)
-    print(header)
-    for name, row in zip(hists.class_ids, matrix.values):
-        print(f"  {name}  " + " ".join(f"{v:6.3f}" for v in row))
+    print(f"          {columns}   |{columns}")
+    for name, row, raw_row in zip(hists.class_ids, matrix.values, raw):
+        print(f"  {name}  " + " ".join(f"{v:6.3f}" for v in row) + "   |" + " ".join(f"{v:6.2f}" for v in raw_row))
 
 print(f"\nTSV artifacts written under {work / 'analysis'} (removed at exit)")

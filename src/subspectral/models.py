@@ -228,36 +228,33 @@ class ModelGraph:
 
     # -- state ----------------------------------------------------------
 
+    def _tensors(self) -> list[tuple[str, str, np.ndarray]]:
+        """(name, kind, array) of every parameter, then every buffer, in
+        checkpoint order; the arrays are the live model tensors."""
+        tensors = [(p.name, "param", p.data) for p in self.parameters()]
+        return tensors + [(name, "buffer", value) for name, value in self.buffers()]
+
     def state(self) -> dict[str, np.ndarray]:
         """Copies of every parameter and buffer, keyed by name."""
-        tensors = {p.name: p.data.copy() for p in self.parameters()}
-        tensors.update((name, value.copy()) for name, value in self.buffers())
-        return tensors
+        return {name: array.copy() for name, _, array in self._tensors()}
 
     def load_state(self, tensors: dict[str, np.ndarray]) -> None:
-        """Set every parameter and buffer from tensors, which must hold
+        """Copy tensors into every parameter and buffer; tensors must hold
         exactly the names of state(), each with the same shape."""
-        shapes = {p.name: p.data.shape for p in self.parameters()}
-        shapes.update((name, value.shape) for name, value in self.buffers())
+        live = {name: array for name, _, array in self._tensors()}
         for name in tensors:
-            if name not in shapes:
+            if name not in live:
                 raise ValueError(f"tensor {name} is not part of the model")
-        for name, shape in shapes.items():
+        for name, array in live.items():
             if name not in tensors:
                 raise ValueError(f"tensor {name} is missing")
-            if np.shape(tensors[name]) != shape:
-                raise ValueError(f"tensor {name} has shape {np.shape(tensors[name])}, expected {shape}")
-        for p in self.parameters():
-            p.data[...] = tensors[p.name]
-        for seq in self._sequentials():
-            for layer in seq.layers:
-                for name, _ in layer.buffers():
-                    layer.load_buffer(name, tensors[name])
+            if np.shape(tensors[name]) != array.shape:
+                raise ValueError(f"tensor {name} has shape {np.shape(tensors[name])}, expected {array.shape}")
+        for name, array in live.items():
+            array[...] = tensors[name]
 
     def save(self, path, meta: dict | None = None) -> None:
-        tensors = [(p.name, "param", p.data) for p in self.parameters()]
-        tensors += [(name, "buffer", value) for name, value in self.buffers()]
-        storage.write_checkpoint(path, self.describe(), tensors, meta=meta)
+        storage.write_checkpoint(path, self.describe(), self._tensors(), meta=meta)
 
 
 def count_params(graph: ModelGraph) -> int:
@@ -266,14 +263,16 @@ def count_params(graph: ModelGraph) -> int:
 
 
 def multi_head_loss(head_logits: dict[str, np.ndarray], labels: np.ndarray):
-    """Unweighted sum of the heads' softmax cross-entropies, and the
-    gradient for each head's logits."""
-    loss = 0.0
-    dlogits = {}
+    """Each head's softmax cross-entropy and the gradient for its logits,
+    as (losses, dlogits), two dicts keyed like head_logits.
+
+    The training loss is the unweighted sum(losses.values()); its
+    gradient is dlogits, since each head's loss reads only its logits.
+    """
+    losses, dlogits = {}, {}
     for name, logits in head_logits.items():
-        head_loss, dlogits[name] = F.softmax_cross_entropy(logits, labels)
-        loss += head_loss
-    return loss, dlogits
+        losses[name], dlogits[name] = F.softmax_cross_entropy(logits, labels)
+    return losses, dlogits
 
 
 def _description_keys(kind: str) -> list[str]:

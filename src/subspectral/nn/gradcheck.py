@@ -8,7 +8,7 @@ storage noise. Relative error is |a - fd| / max(1, |a|, |fd|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class GradCheckReport:
     max_rel_error: float = 0.0
     n_coords: int = 0
     worst: CoordResult | None = None
-    failures: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -76,11 +75,8 @@ def grad_check(loss_fn, targets, tolerance: float, *, coords_per_target: int = 8
             numeric = (loss_plus - loss_minus) / (2 * h)
             analytic = float(grad[coord])
             err = relative_error(analytic, numeric)
-            result = CoordResult(name, coord, analytic, numeric, err)
             report.n_coords += 1
             if err > report.max_rel_error:
                 report.max_rel_error = err
-                report.worst = result
-            if err >= tolerance:
-                report.failures.append(result)
+                report.worst = CoordResult(name, coord, analytic, numeric, err)
     return report

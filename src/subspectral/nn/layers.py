@@ -48,10 +48,9 @@ class Layer:
         return []
 
     def buffers(self) -> list[tuple[str, np.ndarray]]:
+        """(name, array) of each non-trainable state tensor; the arrays
+        are the live ones, so writing into them sets the layer's state."""
         return []
-
-    def load_buffer(self, name: str, value: np.ndarray) -> None:
-        raise KeyError(f"{self.name}: no buffer {name}")
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         raise NotImplementedError
@@ -112,6 +111,11 @@ class Conv2dSame(Layer):
 
 
 class BatchNorm2d(Layer):
+    """Per-channel batch norm. Train mode normalizes by the batch and moves
+    the running statistics toward it; eval mode reads them. running_mean,
+    running_var and batches_seen (a length-1 float64 count) are updated in
+    place, so buffers() hands out the live arrays."""
+
     kind = "batchnorm"
 
     def __init__(self, channels, *, momentum=0.99, eps=1e-3, dtype=np.float32, name=""):
@@ -125,7 +129,7 @@ class BatchNorm2d(Layer):
         # hold float32) round-trip bit-exactly
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.batches_seen = 0
+        self.batches_seen = np.zeros(1, dtype=np.float64)
         self._cache = None
 
     def params(self):
@@ -135,31 +139,20 @@ class BatchNorm2d(Layer):
         return [
             (f"{self.name}.running_mean", self.running_mean),
             (f"{self.name}.running_var", self.running_var),
-            (f"{self.name}.batches_seen", np.array([self.batches_seen], dtype=np.float64)),
+            (f"{self.name}.batches_seen", self.batches_seen),
         ]
-
-    def load_buffer(self, name, value):
-        dtype = self.gamma.data.dtype
-        if name.endswith(".running_mean"):
-            self.running_mean = np.asarray(value, dtype=dtype).reshape(self.channels)
-        elif name.endswith(".running_var"):
-            self.running_var = np.asarray(value, dtype=dtype).reshape(self.channels)
-        elif name.endswith(".batches_seen"):
-            self.batches_seen = int(np.asarray(value).reshape(-1)[0])
-        else:
-            raise KeyError(f"{self.name}: no buffer {name}")
 
     def forward(self, x, train):
         if x.shape[1] != self.channels:
             raise ValueError(f"{self.name}: got {x.shape[1]} channels, expected {self.channels}")
         if train:
             y, mean, var, self._cache = F.batchnorm2d_train(x, self.gamma.data, self.beta.data, self.eps)
-            dtype = self.running_mean.dtype
-            self.running_mean = (self.momentum * self.running_mean.astype(np.float64) + (1 - self.momentum) * mean).astype(dtype)
-            self.running_var = (self.momentum * self.running_var.astype(np.float64) + (1 - self.momentum) * var).astype(dtype)
+            # float64 blend, rounded to the storage dtype on assignment
+            self.running_mean[...] = self.momentum * self.running_mean.astype(np.float64) + (1 - self.momentum) * mean
+            self.running_var[...] = self.momentum * self.running_var.astype(np.float64) + (1 - self.momentum) * var
             self.batches_seen += 1
             return y
-        if self.batches_seen == 0:
+        if not self.batches_seen[0]:
             raise RuntimeError(f"{self.name}: eval before any training batch; running stats uninitialized")
         self._cache = None
         return F.batchnorm2d_eval(x, self.gamma.data, self.beta.data, self.running_mean, self.running_var, self.eps)

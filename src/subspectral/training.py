@@ -19,6 +19,8 @@ from .nn import functional as F
 from .nn.optim import adam_step
 from .seeding import STREAM_DROPOUT, epoch_rng, philox_rng
 
+EVAL_BATCH = 64  # samples per eval-mode forward
+
 
 @dataclass
 class TrainConfig:
@@ -82,26 +84,26 @@ class TrainResult:
     final_report: EvalReport
 
 
-def predict_probs(graph: ModelGraph, features: np.ndarray, batch: int = 64) -> dict[str, np.ndarray]:
+def predict_probs(graph: ModelGraph, features: np.ndarray) -> dict[str, np.ndarray]:
     """Eval-mode class probabilities per head over a feature tensor: the
     softmax of each head's logits."""
     out: dict[str, list] = {name: [] for name in graph.head_names()}
-    for lo in range(0, features.shape[0], batch):
-        logits = graph.forward(features[lo : lo + batch], train=False)
+    for lo in range(0, features.shape[0], EVAL_BATCH):
+        logits = graph.forward(features[lo : lo + EVAL_BATCH], train=False)
         for name, z in logits.items():
             out[name].append(F.softmax(z))
     return {name: np.concatenate(chunks, axis=0) for name, chunks in out.items()}
 
 
-def predict_heads(graph: ModelGraph, features: np.ndarray, batch: int = 64) -> dict[str, np.ndarray]:
+def predict_heads(graph: ModelGraph, features: np.ndarray) -> dict[str, np.ndarray]:
     """Eval-mode head predictions (class ids): the argmax of predict_probs."""
-    return {name: np.argmax(p, axis=1) for name, p in predict_probs(graph, features, batch).items()}
+    return {name: np.argmax(p, axis=1) for name, p in predict_probs(graph, features).items()}
 
 
-def evaluate_model(graph: ModelGraph, features: np.ndarray, labels: np.ndarray, batch: int = 64) -> EvalReport:
+def evaluate_model(graph: ModelGraph, features: np.ndarray, labels: np.ndarray) -> EvalReport:
     """Accuracy and confusion matrix per head (rows true, columns predicted)."""
     n_classes = graph.desc["n_classes"]
-    preds = predict_heads(graph, features, batch)
+    preds = predict_heads(graph, features)
     accuracy = {}
     confusion = {}
     for name, p in preds.items():
@@ -110,12 +112,6 @@ def evaluate_model(graph: ModelGraph, features: np.ndarray, labels: np.ndarray, 
         confusion[name] = matrix
         accuracy[name] = float(np.trace(matrix)) / len(labels)
     return EvalReport(head_names=graph.head_names(), accuracy=accuracy, confusion=confusion, n_samples=len(labels))
-
-
-def _nonfinite_heads(logits: dict[str, np.ndarray], labels: np.ndarray) -> list[str]:
-    """Names of the heads whose own cross-entropy is NaN or infinite."""
-    with np.errstate(all="ignore"):
-        return [name for name, z in logits.items() if not math.isfinite(F.softmax_cross_entropy(z, labels)[0])]
 
 
 def train_model(
@@ -128,8 +124,12 @@ def train_model(
 ) -> TrainResult:
     """Minibatch Adam over the multi-head loss, repeated cfg.repeats times.
 
-    Aborts with run/epoch/batch context if the loss is NaN or infinite,
-    naming the heads whose own loss is.
+    Each step back-propagates the sum of every head's cross-entropy
+    (multi_head_loss). Aborts with run/epoch/batch context if that sum is
+    NaN or infinite, naming the heads whose own loss is. After each epoch
+    every head is evaluated on the test set; each run keeps the state and
+    test report of its best global-head epoch. The returned graph holds
+    the best run's best state, and final_report is that epoch's report.
     Training is bit-reproducible for a fixed seed in single-threaded mode.
     """
     if train_x.shape[0] == 0 or test_x.shape[0] == 0:
@@ -141,14 +141,14 @@ def train_model(
         n_classes = int(max(train_y.max(), test_y.max())) + 1
     desc = cfg.model_description(mel_bins, frames, channels, n_classes, class_names)
     histories = []
-    best_overall = (-1.0, None, None, None)  # acc, run index, state, graph
+    best_overall = (-1.0, None, None, None, None)  # acc, run index, state, report, graph
     for run in range(cfg.repeats):
         run_seed = cfg.seed + run
         graph = build_model(desc, seed=run_seed)
         graph.set_dropout_rng(philox_rng(run_seed, STREAM_DROPOUT))
         store = graph.param_store()
         history = RunHistory(run_seed=run_seed, test_accuracy={name: [] for name in graph.head_names()})
-        best_state = None
+        best_state = best_report = None
         for epoch in range(cfg.epochs):
             order = epoch_rng(run_seed, epoch).permutation(train_x.shape[0])
             total_loss = 0.0
@@ -156,10 +156,11 @@ def train_model(
             for lo in range(0, len(order), cfg.batch_size):
                 idx = order[lo : lo + cfg.batch_size]
                 logits = graph.forward(train_x[idx], train=True)
-                loss, dlogits = multi_head_loss(logits, train_y[idx])
+                losses, dlogits = multi_head_loss(logits, train_y[idx])
+                loss = sum(losses.values())
                 if not math.isfinite(loss):
                     bad = "NaN" if math.isnan(loss) else loss
-                    heads = _nonfinite_heads(logits, train_y[idx])
+                    heads = [name for name, value in losses.items() if not math.isfinite(value)]
                     named = f" (heads: {', '.join(heads)})" if heads else ""
                     raise RuntimeError(f"{bad} loss at run {run}, epoch {epoch}, batch {n_batches}{named}")
                 store.zero_grad()
@@ -176,13 +177,12 @@ def train_model(
             if test_report.accuracy["global"] > history.best_accuracy:
                 history.best_accuracy = test_report.accuracy["global"]
                 history.best_epoch = epoch
-                best_state = graph.state()
+                best_state, best_report = graph.state(), test_report
         histories.append(history)
         if history.best_accuracy > best_overall[0]:
-            best_overall = (history.best_accuracy, run, best_state, graph)
-    _, best_run, state, graph = best_overall
+            best_overall = (history.best_accuracy, run, best_state, best_report, graph)
+    _, best_run, state, final_report, graph = best_overall
     graph.load_state(state)
-    final_report = evaluate_model(graph, test_x, test_y)
     average_best = float(np.mean([h.best_accuracy for h in histories]))
     return TrainResult(
         graph=graph,

@@ -160,15 +160,15 @@ def _graph_case(name, desc, seed, x64, labels):
         x = x64.astype(dtype)
 
         def loss():
-            l, _ = multi_head_loss(graph.forward(x, train=True), labels)
-            return l
+            losses, _ = multi_head_loss(graph.forward(x, train=True), labels)
+            return sum(losses.values())
 
         def grads():
-            l, dlogits = multi_head_loss(graph.forward(x, train=True), labels)
+            _, dlogits = multi_head_loss(graph.forward(x, train=True), labels)
             for p in params:
                 p.grad[...] = 0
             dx = graph.backward(dlogits, input_grad=True)
-            return l, [dx] + [p.grad for p in params]
+            return [dx] + [p.grad for p in params]
 
         return x, params, loss, grads
 
@@ -226,10 +226,10 @@ def _check_model(case_fn, seed, dtype, coords=2) -> SuiteEntry:
     tol = TOL_F64 if dtype == np.float64 else TOL_F32
     x_eval, params_eval, loss_eval, grads_eval = make(np.float64)
     if dtype == np.float64:
-        _, analytic = grads_eval()
+        analytic = grads_eval()
     else:
         x32, params32, _, grads32 = make(np.float32)
-        _, analytic = grads32()
+        analytic = grads32()
         # evaluate finite differences on the float64 twin at the same values
         x_eval[...] = x32.astype(np.float64)
         for p_eval, p32 in zip(params_eval, params32):

@@ -15,6 +15,7 @@ from subspectral.models import (
     multi_head_loss,
 )
 from subspectral.nn import functional as F
+from subspectral.nn.optim import adam_step
 from subspectral.storage import ContainerError, read_checkpoint, write_checkpoint
 from subspectral.training import predict_probs
 
@@ -266,15 +267,19 @@ class TestParameterCounts:
 class TestMultiHeadLoss:
     def test_uniform_heads_sum(self):
         logits = {name: np.zeros((2, 10)) for name in ("global", "sub0", "sub1", "sub2")}
-        loss, dlogits = multi_head_loss(logits, np.array([3, 7]))
-        assert loss == pytest.approx(4 * np.log(10), rel=1e-9)
-        assert set(dlogits) == set(logits)
+        labels = np.array([3, 7])
+        losses, dlogits = multi_head_loss(logits, labels)
+        assert sum(losses.values()) == pytest.approx(4 * np.log(10), rel=1e-9)
+        assert list(losses) == list(dlogits) == list(logits)
+        for name, z in logits.items():
+            assert losses[name] == F.softmax_cross_entropy(z, labels)[0]
 
     def test_disabled_sub_losses(self):
-        # sub-head losses are left out by leaving the heads out of the dict
-        loss, dlogits = multi_head_loss({"global": np.zeros((2, 10))}, np.array([0, 0]))
-        assert loss == pytest.approx(np.log(10), rel=1e-9)
-        assert list(dlogits) == ["global"]
+        # a single-head dict (the graph of --no-sub-loss) gives that
+        # head's loss alone
+        losses, dlogits = multi_head_loss({"global": np.zeros((2, 10))}, np.array([0, 0]))
+        assert losses["global"] == pytest.approx(np.log(10), rel=1e-9)
+        assert list(losses) == list(dlogits) == ["global"]
 
     def test_gradient_is_sum_of_head_gradients(self, rng):
         desc = model_description("subspectralnet", 20, 20, 1, sub_size=10, hop_size=10, dropout=0.0)
@@ -284,7 +289,10 @@ class TestMultiHeadLoss:
         store = graph.param_store()
 
         logits = graph.forward(x, train=True)
-        _, dlogits = multi_head_loss(logits, labels)
+        losses, dlogits = multi_head_loss(logits, labels)
+        assert list(losses) == graph.head_names()
+        for head, z in logits.items():
+            assert losses[head] == F.softmax_cross_entropy(z, labels)[0]
         store.zero_grad()
         graph.backward(dlogits)
         combined = {p.name: p.grad.copy() for p in graph.parameters()}
@@ -374,6 +382,32 @@ class TestCheckpointRoundTrip:
         graph.load_state(saved)
         for name, value in graph.state().items():
             np.testing.assert_array_equal(value, saved[name])
+
+    def test_state_snapshot_does_not_alias_the_live_buffers(self, rng):
+        graph = build_model(model_description("subspectralnet", 40, 50, 2, time_pool=10), seed=6)
+        graph.set_dropout_rng(np.random.default_rng(0))
+        store = graph.param_store()
+        x = rng.standard_normal((4, 2, 40, 50)).astype(np.float32)
+        labels = np.array([0, 3, 5, 9])
+
+        def train_step():
+            _, dlogits = multi_head_loss(graph.forward(x, train=True), labels)
+            store.zero_grad()
+            graph.backward(dlogits)
+            adam_step(store)
+
+        train_step()
+        snapshot = graph.state()
+        frozen = {name: value.copy() for name, value in snapshot.items()}
+        assert snapshot["sub0.bn1.batches_seen"][0] == 1
+        train_step()
+        for name, value in frozen.items():
+            np.testing.assert_array_equal(snapshot[name], value, err_msg=name)
+        graph.load_state(snapshot)
+        train_step()
+        for name, value in frozen.items():
+            np.testing.assert_array_equal(snapshot[name], value, err_msg=name)
+        assert graph.state()["sub0.bn1.batches_seen"][0] == 2
 
     @pytest.mark.parametrize("damage", ["drop", "extra"])
     def test_checkpoint_must_hold_exactly_the_model_tensors(self, tmp_path, rng, damage):

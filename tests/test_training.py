@@ -66,8 +66,8 @@ class TestTrainLoop:
         from subspectral import training as tr
 
         def poisoned(head_logits, labels):
-            loss, dlogits = multi_head_loss(head_logits, labels)
-            return float("nan"), dlogits
+            losses, dlogits = multi_head_loss(head_logits, labels)
+            return {**losses, "global": float("nan")}, dlogits
 
         monkeypatch.setattr(tr, "multi_head_loss", poisoned)
         with pytest.raises(RuntimeError, match="NaN loss at run 0, epoch 0, batch 0"):
@@ -77,8 +77,8 @@ class TestTrainLoop:
         from subspectral import training as tr
 
         def poisoned(head_logits, labels):
-            loss, dlogits = multi_head_loss(head_logits, labels)
-            return float("inf"), dlogits
+            losses, dlogits = multi_head_loss(head_logits, labels)
+            return {**losses, "global": float("inf")}, dlogits
 
         monkeypatch.setattr(tr, "multi_head_loss", poisoned)
         with pytest.raises(RuntimeError, match="inf loss at run 0, epoch 0, batch 0"):
@@ -96,6 +96,18 @@ class TestTrainLoop:
         monkeypatch.setattr(tr, "build_model", poisoned)
         with pytest.raises(RuntimeError, match=r"^NaN loss at run 0, epoch 0, batch 0 \(heads: sub1\)$"):
             train_model(data["train_x"], data["train_y"], data["test_x"], data["test_y"], small_cfg())
+
+    def test_final_report_is_the_best_epochs_test_report(self, data):
+        result = train_model(data["train_x"], data["train_y"], data["test_x"], data["test_y"], small_cfg(repeats=2))
+        fresh = evaluate_model(result.graph, data["test_x"], data["test_y"])
+        report = result.final_report
+        assert report.accuracy == fresh.accuracy
+        assert set(report.confusion) == set(fresh.confusion)
+        for name, matrix in fresh.confusion.items():
+            np.testing.assert_array_equal(report.confusion[name], matrix)
+        best = result.histories[result.best_run]
+        for name, curve in best.test_accuracy.items():
+            assert report.accuracy[name] == curve[best.best_epoch]
 
     def test_average_best_is_mean_over_repeats(self, data):
         cfg = small_cfg(epochs=2, repeats=2)
