@@ -140,6 +140,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     data = pipeline.load_feature_dir(args.features)
     graph, _meta = load_model(args.checkpoint)
+    storage.check_labels(Path(args.features) / pipeline.TEST_FILE, data["test_y"], graph.desc["n_classes"], args.checkpoint)
     report = evaluate_model(graph, data["test_x"], data["test_y"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -154,6 +155,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     features, labels = storage.read_features(args.features)
     graph, _meta = load_model(args.checkpoint)
+    storage.check_labels(args.features, labels, graph.desc["n_classes"], args.checkpoint)
     head_probs = predict_probs(graph, features)
     preds = {name: np.argmax(p, axis=1) for name, p in head_probs.items()}
     probs = head_probs["global"]
@@ -185,6 +187,8 @@ def cmd_paramcount(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     entries = run_gradient_suite(seeds=range(args.seeds))
     print("case\tdtype\tcoords\tmax_rel_error\ttolerance\tstatus")
     by_case: dict[tuple, list] = {}

@@ -46,7 +46,7 @@ class DatasetManifest:
             raise ValueError(f"duplicate clip paths in manifest: {dupes[:5]}")
         unknown = sorted({e.label for e in self.entries} - set(self.class_names))
         if unknown:
-            raise ValueError(f"labels outside vocabulary: {unknown}")
+            raise ValueError(f"labels outside class_names: {unknown}")
 
     def label_id(self, label: str) -> int:
         return self.class_names.index(label)
@@ -68,12 +68,11 @@ def _read_rows(path) -> list[list[str]]:
     return rows
 
 
-def parse_manifest(path, vocabulary=None, default_split: str = "train") -> DatasetManifest:
+def parse_manifest(path, default_split: str = "train") -> DatasetManifest:
     """Read a TSV manifest: filename, scene_label, optional split column.
 
     A header row starting with 'filename' is skipped. Class ids follow
-    the lexicographic order of the label vocabulary; pass vocabulary to
-    pin it (unknown labels then raise).
+    the lexicographic order of the labels.
     """
     entries = []
     for row in _read_rows(path):
@@ -85,17 +84,13 @@ def parse_manifest(path, vocabulary=None, default_split: str = "train") -> Datas
         if split not in SPLITS:
             raise ValueError(f"{path}: unknown split {split!r}")
         entries.append(ManifestEntry(path=row[0].strip(), label=row[1].strip(), split=split))
-    names = sorted(vocabulary) if vocabulary is not None else sorted({e.label for e in entries})
-    return DatasetManifest(entries=entries, class_names=names)
+    return DatasetManifest(entries=entries, class_names=sorted({e.label for e in entries}))
 
 
-def parse_manifest_pair(train_path, test_path, vocabulary=None) -> DatasetManifest:
+def parse_manifest_pair(train_path, test_path) -> DatasetManifest:
     """Merge separate train/test listing files into one manifest."""
-    train = parse_manifest(train_path, vocabulary=None, default_split="train")
-    test = parse_manifest(test_path, vocabulary=None, default_split="test")
-    entries = train.entries + test.entries
-    names = sorted(vocabulary) if vocabulary is not None else sorted({e.label for e in entries})
-    return DatasetManifest(entries=entries, class_names=names)
+    entries = parse_manifest(train_path, "train").entries + parse_manifest(test_path, "test").entries
+    return DatasetManifest(entries=entries, class_names=sorted({e.label for e in entries}))
 
 
 def write_manifest(path, manifest: DatasetManifest) -> None:

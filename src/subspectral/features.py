@@ -2,8 +2,10 @@
 
 Feature recipe: 2048-point STFT over 40 ms Hamming windows hopped by
 20 ms, power spectrum, triangular Slaney-style mel filterbank with area
-normalization, natural log with a 1e-10 floor. All constants live here so
-an alternative frontend can be configured to match.
+normalization, natural log with a 1e-10 floor. The STFT part of the
+recipe is fixed; only the mel filterbank is configurable. A 40 ms window
+fits the 2048-point FFT up to 51.2 kHz, so higher sample rates are
+rejected.
 
 Features are plain float32 arrays: one clip is (C, F, T), a split is one
 stacked (N, C, F, T) array, and the normalizer is fitted on and applied
@@ -17,6 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+FFT_SIZE = 2048
+WINDOW_MS = 40.0
+HOP_MS = 20.0
 LOG_FLOOR = 1e-10
 STD_FLOOR = 1e-8
 
@@ -45,32 +50,19 @@ def mel_to_hz(mel):
     return f
 
 
-@dataclass(frozen=True)
-class StftConfig:
-    """Short-time Fourier transform parameters (defaults match the
-    feature recipe above)."""
+def window_samples(sample_rate: int) -> int:
+    return int(round(WINDOW_MS * sample_rate / 1000.0))
 
-    fft_size: int = 2048
-    window_ms: float = 40.0
-    hop_ms: float = 20.0
 
-    def __post_init__(self):
-        if self.fft_size < 1:
-            raise ValueError("fft_size must be >= 1")
-        if not 0 < self.hop_ms < self.window_ms:
-            raise ValueError(f"hop_ms must satisfy 0 < hop ({self.hop_ms}) < window ({self.window_ms})")
+def hop_samples(sample_rate: int) -> int:
+    return int(round(HOP_MS * sample_rate / 1000.0))
 
-    def window_samples(self, sample_rate: int) -> int:
-        return int(round(self.window_ms * sample_rate / 1000.0))
 
-    def hop_samples(self, sample_rate: int) -> int:
-        return int(round(self.hop_ms * sample_rate / 1000.0))
-
-    def window(self, sample_rate: int) -> np.ndarray:
-        # periodic (DFT-even) Hamming window
-        n = self.window_samples(sample_rate)
-        t = 2.0 * np.pi * np.arange(n) / n
-        return 0.54 - 0.46 * np.cos(t)
+def hamming_window(sample_rate: int) -> np.ndarray:
+    """Periodic (DFT-even) Hamming window of window_samples(sample_rate)."""
+    n = window_samples(sample_rate)
+    t = 2.0 * np.pi * np.arange(n) / n
+    return 0.54 - 0.46 * np.cos(t)
 
 
 @dataclass(frozen=True)
@@ -121,10 +113,10 @@ def mel_edge_frequencies(mel: MelConfig, sample_rate: int) -> np.ndarray:
     return mel_to_hz(np.linspace(lo, hi, mel.n_mels + 2))
 
 
-def mel_filterbank(mel: MelConfig, stft: StftConfig, sample_rate: int) -> np.ndarray:
-    """Triangular area-normalized filterbank, (n_mels, fft_size//2 + 1)."""
+def mel_filterbank(mel: MelConfig, sample_rate: int) -> np.ndarray:
+    """Triangular area-normalized filterbank, (n_mels, FFT_SIZE//2 + 1)."""
     edges = mel_edge_frequencies(mel, sample_rate)
-    fft_freqs = np.arange(stft.fft_size // 2 + 1) * (sample_rate / stft.fft_size)
+    fft_freqs = np.arange(FFT_SIZE // 2 + 1) * (sample_rate / FFT_SIZE)
     lower = edges[:-2, None]
     center = edges[1:-1, None]
     upper = edges[2:, None]
@@ -140,11 +132,6 @@ def frame_count(n_samples: int, hop: int) -> int:
     return 1 + math.ceil(n_samples / hop)
 
 
-def default_frame_target(n_samples: int, hop: int) -> int:
-    """Frames kept after trailing-crop: n // hop (500 for 10 s at 48 kHz)."""
-    return n_samples // hop
-
-
 def _frame_channel(x: np.ndarray, win: int, hop: int) -> np.ndarray:
     n_raw = frame_count(len(x), hop)
     last_center = (n_raw - 1) * hop
@@ -155,44 +142,32 @@ def _frame_channel(x: np.ndarray, win: int, hop: int) -> np.ndarray:
     return view[:: hop][:n_raw]
 
 
-def log_mel_spectrogram(
-    clip,
-    stft: StftConfig = StftConfig(),
-    mel: MelConfig = MelConfig(),
-    target_frames: int | None = None,
-) -> np.ndarray:
+def log_mel_spectrogram(clip, mel: MelConfig = MelConfig()) -> np.ndarray:
     """Extract a (C, F, T) float32 log mel-energy spectrogram from an AudioClip.
 
     Frames are centered at multiples of the hop (reflect padding), giving
-    1 + ceil(n/hop) raw frames; trailing frames are cropped to
-    target_frames (default n // hop). Deterministic for fixed input.
+    1 + ceil(n/hop) raw frames; trailing frames are cropped to n // hop
+    (500 for 10 s at 48 kHz). Deterministic for fixed input.
     """
     sr = clip.sample_rate
-    win = stft.window_samples(sr)
-    hop = stft.hop_samples(sr)
+    win = window_samples(sr)
+    hop = hop_samples(sr)
     if win < 1 or hop < 1:
         raise ValueError(f"window/hop too short for sample rate {sr}")
-    if win > stft.fft_size:
-        raise ValueError(f"window of {win} samples exceeds fft_size {stft.fft_size}")
-    if clip.n_samples == 0:
-        raise ValueError("empty clip")
+    if win > FFT_SIZE:
+        raise ValueError(f"{WINDOW_MS:g} ms window of {win} samples at {sr} Hz exceeds the {FFT_SIZE}-point FFT")
     if clip.n_samples < win:
         raise ValueError(f"clip of {clip.n_samples} samples shorter than one {win}-sample window")
     if np.isnan(clip.samples).any():
         raise ValueError("clip contains NaN samples")
 
-    if target_frames is None:
-        target_frames = default_frame_target(clip.n_samples, hop)
-    n_raw = frame_count(clip.n_samples, hop)
-    if n_raw < target_frames:
-        raise ValueError(f"clip yields {n_raw} frames, fewer than requested {target_frames}")
-
-    window = stft.window(sr)
-    filterbank = mel_filterbank(mel, stft, sr)
+    n_frames = clip.n_samples // hop
+    window = hamming_window(sr)
+    filterbank = mel_filterbank(mel, sr)
     channels = []
     for ch in clip.samples:
-        frames = _frame_channel(ch, win, hop)[:target_frames]
-        spectrum = np.fft.rfft(frames * window, n=stft.fft_size, axis=1)
+        frames = _frame_channel(ch, win, hop)[:n_frames]
+        spectrum = np.fft.rfft(frames * window, n=FFT_SIZE, axis=1)
         power = np.abs(spectrum) ** 2
         energies = power @ filterbank.T  # (T, F)
         channels.append(np.log(energies + LOG_FLOOR).T)

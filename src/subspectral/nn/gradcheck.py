@@ -50,14 +50,14 @@ def sample_coords(shape, n: int, rng: np.random.Generator, exclude_mask=None):
     return [np.unravel_index(int(c), shape) if shape else () for c in chosen]
 
 
-def grad_check(loss_fn, targets, tolerance: float, *, coords_per_target: int = 8, eps: float = 1e-6, rng=None) -> GradCheckReport:
+def grad_check(loss_fn, targets, tolerance: float, *, coords_per_target: int = 8, rng=None) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     loss_fn() re-evaluates the scalar loss with the target arrays'
     current contents. targets is a list of (name, array, analytic_grad)
     or (name, array, analytic_grad, exclude_mask) tuples; arrays are
-    perturbed in place and restored. eps scales with each coordinate's
-    magnitude.
+    perturbed in place and restored. The step, 1e-6, scales with each
+    coordinate's magnitude.
     """
     rng = rng or np.random.default_rng(0)
     report = GradCheckReport(tolerance=tolerance)
@@ -66,7 +66,7 @@ def grad_check(loss_fn, targets, tolerance: float, *, coords_per_target: int = 8
         exclude = target[3] if len(target) > 3 else None
         for coord in sample_coords(array.shape, coords_per_target, rng, exclude):
             original = array[coord]
-            h = eps * max(1.0, abs(float(original)))
+            h = 1e-6 * max(1.0, abs(float(original)))
             array[coord] = original + h
             loss_plus = loss_fn()
             array[coord] = original - h

@@ -6,6 +6,11 @@ import numpy as np
 
 from .layers import Parameter
 
+# Adam moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-7
+
 
 class ParamStore:
     """Ordered collection of parameters plus Adam moment state."""
@@ -27,7 +32,7 @@ class ParamStore:
         return sum(p.size for p in self.params)
 
 
-def adam_step(store: ParamStore, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-7) -> None:
+def adam_step(store: ParamStore, lr: float = 1e-3) -> None:
     """Bias-corrected Adam update over every parameter in the store.
 
     A non-finite gradient anywhere rejects the whole step before any
@@ -41,8 +46,8 @@ def adam_step(store: ParamStore, lr: float = 1e-3, beta1: float = 0.9, beta2: fl
         g = p.grad
         m = store.first_moment[p.name]
         v = store.second_moment[p.name]
-        m[...] = beta1 * m + (1 - beta1) * g
-        v[...] = beta2 * v + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        p.data[...] = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m[...] = BETA1 * m + (1 - BETA1) * g
+        v[...] = BETA2 * v + (1 - BETA2) * g * g
+        m_hat = m / (1 - BETA1**t)
+        v_hat = v / (1 - BETA2**t)
+        p.data[...] = p.data - lr * m_hat / (np.sqrt(v_hat) + EPS)

@@ -15,7 +15,7 @@ import numpy as np
 from . import bandstats, storage
 from .audio import load_wav, to_mono
 from .data import DatasetManifest
-from .features import MelConfig, StftConfig, apply_normalizer, fit_normalizer, log_mel_spectrogram
+from .features import MelConfig, apply_normalizer, fit_normalizer, log_mel_spectrogram
 
 TRAIN_FILE = "train.ssnf"
 TEST_FILE = "test.ssnf"
@@ -27,10 +27,8 @@ def extract_split(
     manifest: DatasetManifest,
     split: str,
     audio_root,
-    stft: StftConfig,
     mel: MelConfig,
     channels: str = "stereo",
-    target_frames: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extract one split's raw (unnormalized) features as an (N, C, F, T)
     float32 stack, with its uint32 label ids.
@@ -48,7 +46,7 @@ def extract_split(
         clip = load_wav(clip_path)
         if channels == "mono":
             clip = to_mono(clip)
-        spec = log_mel_spectrogram(clip, stft, mel, target_frames)
+        spec = log_mel_spectrogram(clip, mel)
         if specs and spec.shape != specs[0].shape:
             raise ValueError(f"{clip_path}: spectrogram shape {spec.shape} differs from the first clip's {specs[0].shape}")
         specs.append(spec)
@@ -69,21 +67,18 @@ def extract_dataset(
     channels: str = "stereo",
     f_min: float = 0.0,
     f_max: float | None = None,
-    stft: StftConfig | None = None,
-    target_frames: int | None = None,
 ) -> dict:
     """Extract both splits, fit the train normalizer, write containers.
 
     Produces train.ssnf / test.ssnf (normalized features), normalizer.bin
     and labels.tsv inside out_dir. Returns a summary dict.
     """
-    stft = stft or StftConfig()
     mel = MelConfig(n_mels=mel_bins, f_min=f_min, f_max=f_max)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    train_raw, train_labels = extract_split(manifest, "train", audio_root, stft, mel, channels, target_frames)
-    test_raw, test_labels = extract_split(manifest, "test", audio_root, stft, mel, channels, target_frames)
+    train_raw, train_labels = extract_split(manifest, "train", audio_root, mel, channels)
+    test_raw, test_labels = extract_split(manifest, "test", audio_root, mel, channels)
     norm = fit_normalizer(train_raw)
     train_x = apply_normalizer(train_raw, norm)
     test_x = apply_normalizer(test_raw, norm)
@@ -100,11 +95,14 @@ def extract_dataset(
 
 
 def load_feature_dir(features_dir) -> dict:
-    """Read back the features and class names that extract_dataset wrote."""
+    """Read back the features and class names that extract_dataset wrote;
+    every label must be a class id of labels.tsv."""
     features_dir = Path(features_dir)
     train_x, train_y = storage.read_features(features_dir / TRAIN_FILE)
     test_x, test_y = storage.read_features(features_dir / TEST_FILE)
     class_names = storage.read_class_names(features_dir / LABELS_FILE)
+    storage.check_labels(features_dir / TRAIN_FILE, train_y, len(class_names), LABELS_FILE)
+    storage.check_labels(features_dir / TEST_FILE, test_y, len(class_names), LABELS_FILE)
     return {
         "train_x": train_x,
         "train_y": train_y.astype(np.int64),

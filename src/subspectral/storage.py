@@ -86,6 +86,13 @@ def read_features(path) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(records["x"], dtype=np.float32), records["label"].astype(np.uint32)
 
 
+def check_labels(path, labels: np.ndarray, n_classes: int, source: str) -> None:
+    """Raise ContainerError naming path if a label id is not below the
+    n_classes that source (labels.tsv, a checkpoint) defines."""
+    if labels.size and int(labels.max()) >= n_classes:
+        raise ContainerError(f"{path}: label {int(labels.max())} is out of range for the {n_classes} classes of {source}")
+
+
 def write_normalizer(path, norm: BinNormalizer) -> None:
     c, f = norm.mean.shape
     with open(path, "wb") as fh:

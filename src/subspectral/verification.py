@@ -10,6 +10,7 @@ batch, so every loss here is deterministic and smooth almost everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,8 +33,34 @@ class SuiteEntry:
         return self.report.passed
 
 
+@dataclass(frozen=True)
+class Case:
+    """A gradient-check case. make(dtype) builds the computation in that
+    dtype and returns (targets, loss, grads): targets is a list of
+    (name, array, exclude_mask) for the arrays to difference, loss() the
+    scalar loss of their current contents, grads() their analytic
+    gradients in target order."""
+
+    name: str
+    make: Callable
+    coords: int  # coordinates sampled per target
+    rng_seed: int  # seed of the coordinate sampler
+
+
 def _weighted_loss(y: np.ndarray, r: np.ndarray) -> float:
     return float(np.sum(y.astype(np.float64) * r))
+
+
+def _array_case(name, seed, arrays64, loss, grads, masks=None) -> Case:
+    """A functional case: loss(arrays) and grads(arrays) over the given
+    float64 inputs, cast to the checked dtype."""
+
+    def make(dtype):
+        arrays = [a.astype(dtype) for a in arrays64]
+        targets = [(f"{name}[{i}]", a, masks[i] if masks else None) for i, a in enumerate(arrays)]
+        return targets, lambda: loss(arrays), lambda: grads(arrays)
+
+    return Case(name, make, coords=6, rng_seed=seed + 99)
 
 
 def _case_conv(seed):
@@ -45,16 +72,14 @@ def _case_conv(seed):
     wt = rng.standard_normal((o, c, kh, kw)) * 0.3
     b = rng.standard_normal(o) * 0.1
     r = rng.standard_normal((n, o, h, w))
-    arrays = [x, wt, b]
 
     def loss(a):
         return _weighted_loss(F.conv2d_same(a[0], a[1], a[2]), r)
 
     def grads(a):
-        dx, dw, db = F.conv2d_same_backward(r.astype(a[0].dtype), a[0], a[1])
-        return [dx, dw, db]
+        return F.conv2d_same_backward(r.astype(a[0].dtype), a[0], a[1])
 
-    return "conv2d_same", arrays, loss, grads, None
+    return _array_case("conv2d_same", seed, [x, wt, b], loss, grads)
 
 
 def _case_batchnorm(seed):
@@ -63,7 +88,6 @@ def _case_batchnorm(seed):
     x = rng.standard_normal((n, c, h, w)) * 2 + rng.standard_normal((1, c, 1, 1))
     gamma = rng.uniform(0.5, 1.5, c)
     beta = rng.standard_normal(c) * 0.2
-    arrays = [x, gamma, beta]
 
     def loss(a):
         y, _, _, _ = F.batchnorm2d_train(a[0], a[1], a[2], eps=1e-3)
@@ -72,10 +96,9 @@ def _case_batchnorm(seed):
     def grads(a):
         y, _, _, cache = F.batchnorm2d_train(a[0], a[1], a[2], eps=1e-3)
         dy = (2.0 * y.astype(np.float64)).astype(a[0].dtype)
-        dx, dgamma, dbeta = F.batchnorm2d_backward(dy, cache)
-        return [dx, dgamma, dbeta]
+        return F.batchnorm2d_backward(dy, cache)
 
-    return "batchnorm_train", arrays, loss, grads, None
+    return _array_case("batchnorm_train", seed, [x, gamma, beta], loss, grads)
 
 
 def _case_maxpool(seed):
@@ -85,7 +108,6 @@ def _case_maxpool(seed):
     ph, pw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     x = rng.standard_normal((n, c, h, w))
     r = rng.standard_normal((n, c, h // ph, w // pw))
-    arrays = [x]
 
     def loss(a):
         y, _ = F.maxpool2d(a[0], ph, pw)
@@ -95,7 +117,7 @@ def _case_maxpool(seed):
         _, idx = F.maxpool2d(a[0], ph, pw)
         return [F.maxpool2d_backward(r.astype(a[0].dtype), idx, a[0].shape, ph, pw)]
 
-    return "maxpool", arrays, loss, grads, None
+    return _array_case("maxpool", seed, [x], loss, grads)
 
 
 def _case_dense(seed):
@@ -105,23 +127,20 @@ def _case_dense(seed):
     w = rng.standard_normal((din, dout)) * 0.4
     b = rng.standard_normal(dout) * 0.1
     r = rng.standard_normal((n, dout))
-    arrays = [x, w, b]
 
     def loss(a):
         return _weighted_loss(F.dense(a[0], a[1], a[2]), r)
 
     def grads(a):
-        dx, dw, db = F.dense_backward(r.astype(a[0].dtype), a[0], a[1])
-        return [dx, dw, db]
+        return F.dense_backward(r.astype(a[0].dtype), a[0], a[1])
 
-    return "dense", arrays, loss, grads, None
+    return _array_case("dense", seed, [x, w, b], loss, grads)
 
 
 def _case_relu(seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((4, 9))
     r = rng.standard_normal(x.shape)
-    arrays = [x]
     # coordinates at the kink are excluded from sampling
     masks = [np.abs(x) < 1e-4]
 
@@ -131,7 +150,7 @@ def _case_relu(seed):
     def grads(a):
         return [F.relu_backward(r.astype(a[0].dtype), a[0])]
 
-    return "relu", arrays, loss, grads, masks
+    return _array_case("relu", seed, [x], loss, grads, masks)
 
 
 def _case_softmax_ce(seed):
@@ -139,7 +158,6 @@ def _case_softmax_ce(seed):
     n, k = int(rng.integers(2, 6)), int(rng.integers(3, 11))
     z = rng.standard_normal((n, k)) * 2
     labels = rng.integers(0, k, n)
-    arrays = [z]
 
     def loss(a):
         return F.softmax_cross_entropy(a[0], labels)[0]
@@ -147,17 +165,18 @@ def _case_softmax_ce(seed):
     def grads(a):
         return [F.softmax_cross_entropy(a[0], labels)[1]]
 
-    return "softmax_cross_entropy", arrays, loss, grads, None
+    return _array_case("softmax_cross_entropy", seed, [z], loss, grads)
 
 
-def _graph_case(name, desc, seed, x64, labels):
+def _graph_case(name, desc, seed, x64, labels) -> Case:
     """A model case: the multi-head loss on x64 of the graph that
-    build_model(desc, seed, dtype) builds."""
+    build_model(desc, seed + 1, dtype) builds."""
 
     def make(dtype):
-        graph = build_model(desc, seed, dtype)
+        graph = build_model(desc, seed + 1, dtype)
         params = graph.parameters()
         x = x64.astype(dtype)
+        targets = [(f"{name}:input", x, None)] + [(f"{name}:{p.name}", p.data, None) for p in params]
 
         def loss():
             losses, _ = multi_head_loss(graph.forward(x, train=True), labels)
@@ -170,9 +189,9 @@ def _graph_case(name, desc, seed, x64, labels):
             dx = graph.backward(dlogits, input_grad=True)
             return [dx] + [p.grad for p in params]
 
-        return x, params, loss, grads
+        return targets, loss, grads
 
-    return name, make
+    return Case(name, make, coords=2, rng_seed=seed + 7)
 
 
 def _case_subclassifier(seed):
@@ -188,7 +207,7 @@ def _case_subclassifier(seed):
     desc = model_description(
         "subspectralnet", 10, frames, channels, sub_size=10, hop_size=10, include_sub_heads=False, time_pool=frames // 5, dropout=0.0
     )
-    return _graph_case("subclassifier_stack", desc, seed + 1, x64, labels)
+    return _graph_case("subclassifier_stack", desc, seed, x64, labels)
 
 
 def _case_multi_head(seed):
@@ -199,62 +218,35 @@ def _case_multi_head(seed):
     labels = rng.integers(0, 10, n)
     x64 = rng.standard_normal((n, channels, mel_bins, frames))
     desc = model_description("subspectralnet", mel_bins, frames, channels, sub_size=10, hop_size=5, dropout=0.0)
-    return _graph_case("multi_head_loss", desc, seed + 1, x64, labels)
+    return _graph_case("multi_head_loss", desc, seed, x64, labels)
 
 
-def _check_functional(case_fn, seed, dtype, coords=6) -> SuiteEntry:
-    name, arrays64, loss, grads, masks = case_fn(seed)
-    arrays64 = [np.asarray(a, dtype=np.float64) for a in arrays64]
-    tol = TOL_F64 if dtype == np.float64 else TOL_F32
+def check_case(case: Case, dtype) -> SuiteEntry:
+    """Analytic gradients computed in dtype against central differences
+    of the float64 twin of the case, set to the same values."""
+    targets, loss, grads = case.make(np.float64)
     if dtype == np.float64:
-        analytic = grads(arrays64)
-        eval_arrays = arrays64
+        analytic = grads()
     else:
-        arrays32 = [a.astype(np.float32) for a in arrays64]
-        analytic = grads(arrays32)
-        eval_arrays = [a.astype(np.float64) for a in arrays32]
-    targets = []
-    for i, (arr, g) in enumerate(zip(eval_arrays, analytic)):
-        mask = masks[i] if masks else None
-        targets.append((f"{name}[{i}]", arr, np.asarray(g, dtype=np.float64), mask))
-    report = grad_check(lambda: loss(eval_arrays), targets, tol, coords_per_target=coords, rng=np.random.default_rng(seed + 99))
-    return SuiteEntry(case=name, dtype=np.dtype(dtype).name, report=report)
-
-
-def _check_model(case_fn, seed, dtype, coords=2) -> SuiteEntry:
-    name, make = case_fn(seed)
-    tol = TOL_F64 if dtype == np.float64 else TOL_F32
-    x_eval, params_eval, loss_eval, grads_eval = make(np.float64)
-    if dtype == np.float64:
-        analytic = grads_eval()
-    else:
-        x32, params32, _, grads32 = make(np.float32)
+        targets32, _, grads32 = case.make(np.float32)
         analytic = grads32()
-        # evaluate finite differences on the float64 twin at the same values
-        x_eval[...] = x32.astype(np.float64)
-        for p_eval, p32 in zip(params_eval, params32):
-            p_eval.data[...] = p32.data.astype(np.float64)
-    arrays = [x_eval] + [p.data for p in params_eval]
-    names = ["input"] + [p.name for p in params_eval]
-    targets = [
-        (f"{name}:{n}", arr, np.asarray(g, dtype=np.float64))
-        for n, arr, g in zip(names, arrays, analytic)
-    ]
-    report = grad_check(loss_eval, targets, tol, coords_per_target=coords, rng=np.random.default_rng(seed + 7))
-    return SuiteEntry(case=name, dtype=np.dtype(dtype).name, report=report)
+        for (_, a64, _), (_, a32, _) in zip(targets, targets32):
+            a64[...] = a32
+    checked = [(name, a, np.asarray(g, dtype=np.float64), mask) for (name, a, mask), g in zip(targets, analytic)]
+    tol = TOL_F64 if dtype == np.float64 else TOL_F32
+    report = grad_check(loss, checked, tol, coords_per_target=case.coords, rng=np.random.default_rng(case.rng_seed))
+    return SuiteEntry(case=case.name, dtype=np.dtype(dtype).name, report=report)
 
 
 FUNCTIONAL_CASES = (_case_conv, _case_batchnorm, _case_maxpool, _case_dense, _case_relu, _case_softmax_ce)
 MODEL_CASES = (_case_subclassifier, _case_multi_head)
 
 
-def run_gradient_suite(seeds=range(20), dtypes=(np.float32, np.float64)) -> list[SuiteEntry]:
-    """Check every case for every seed and dtype; returns all entries."""
+def run_gradient_suite(seeds=range(20)) -> list[SuiteEntry]:
+    """Check every case for every seed in float32 and float64; returns all entries."""
     entries = []
     for seed in seeds:
-        for dtype in dtypes:
-            for case in FUNCTIONAL_CASES:
-                entries.append(_check_functional(case, 1000 + seed, dtype))
-            for case in MODEL_CASES:
-                entries.append(_check_model(case, 1000 + seed, dtype))
+        for dtype in (np.float32, np.float64):
+            for case_fn in FUNCTIONAL_CASES + MODEL_CASES:
+                entries.append(check_case(case_fn(1000 + seed), dtype))
     return entries

@@ -1,5 +1,7 @@
 """Fast gradient spot checks (the 20-seed sweep runs in the acceptance suite)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,9 @@ from subspectral.nn.gradcheck import grad_check, relative_error, sample_coords
 from subspectral.verification import (
     FUNCTIONAL_CASES,
     MODEL_CASES,
-    TOL_F32,
-    TOL_F64,
-    _check_functional,
-    _check_model,
+    _case_dense,
+    _case_subclassifier,
+    check_case,
     run_gradient_suite,
 )
 
@@ -20,7 +21,7 @@ from subspectral.verification import (
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 def test_functional_cases_three_seeds(case, dtype):
     for seed in (0, 1, 2):
-        entry = _check_functional(case, seed, dtype)
+        entry = check_case(case(seed), dtype)
         assert entry.passed, f"{entry.case} seed {seed}: {entry.report.worst}"
 
 
@@ -28,23 +29,19 @@ def test_functional_cases_three_seeds(case, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 def test_model_cases_two_seeds(case, dtype):
     for seed in (0, 1):
-        entry = _check_model(case, seed, dtype)
+        entry = check_case(case(seed), dtype)
         assert entry.passed, f"{entry.case} seed {seed}: {entry.report.worst}"
 
 
 def test_dense_meets_spec_tolerances():
-    from subspectral.verification import _case_dense
-
-    f64 = _check_functional(_case_dense, 11, np.float64)
-    f32 = _check_functional(_case_dense, 11, np.float32)
+    f64 = check_case(_case_dense(11), np.float64)
+    f32 = check_case(_case_dense(11), np.float32)
     assert f64.report.max_rel_error < 1e-7
     assert f32.report.max_rel_error < 1e-4
 
 
 def test_subclassifier_stack_meets_spec_tolerance():
-    from subspectral.verification import _case_subclassifier
-
-    entry = _check_model(_case_subclassifier, 11, np.float32, coords=3)
+    entry = check_case(replace(_case_subclassifier(11), coords=3), np.float32)
     assert entry.report.max_rel_error < 1e-3
 
 

@@ -8,7 +8,7 @@ import pytest
 from subspectral.nn import functional as F
 from subspectral.nn.gradcheck import grad_check
 from subspectral.nn.layers import Dense, Parameter
-from subspectral.nn.optim import ParamStore, adam_step
+from subspectral.nn.optim import BETA1, BETA2, EPS, ParamStore, adam_step
 from subspectral.seeding import philox_rng
 
 
@@ -346,6 +346,7 @@ class TestAdam:
         assert a.data[0] == 0.25 and p.data[0] == 0.5 and store.step_count == 0
 
     def test_matches_reference_formula(self):
+        assert (BETA1, BETA2, EPS) == (0.9, 0.999, 1e-7)
         rng = np.random.default_rng(8)
         p = Parameter("w", rng.standard_normal(6))
         store = ParamStore([p])
@@ -355,10 +356,10 @@ class TestAdam:
         for t in range(1, 8):
             g = rng.standard_normal(6)
             p.grad[...] = g
-            adam_step(store, lr=0.002, beta1=0.9, beta2=0.999, eps=1e-7)
-            m = 0.9 * m + 0.1 * g
-            v = 0.999 * v + 0.001 * g * g
-            ref = ref - 0.002 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-7)
+            adam_step(store, lr=0.002)
+            m = BETA1 * m + (1 - BETA1) * g
+            v = BETA2 * v + (1 - BETA2) * g * g
+            ref = ref - 0.002 * (m / (1 - BETA1**t)) / (np.sqrt(v / (1 - BETA2**t)) + EPS)
             np.testing.assert_allclose(p.data, ref, rtol=1e-12)
             store.zero_grad()
 

@@ -10,7 +10,7 @@ from subspectral.audio import AudioClip, load_wav, save_wav
 from subspectral.cli import main
 from subspectral.data import synth_fixture
 from subspectral.pipeline import analyze_dataset, extract_dataset, load_feature_dir
-from subspectral.storage import read_checkpoint, read_features, write_checkpoint
+from subspectral.storage import read_checkpoint, read_features, write_checkpoint, write_class_names, write_features
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +191,43 @@ class TestCli:
         out = capsys.readouterr().out
         assert "conv2d_same" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_gradcheck_needs_a_seed(self, capsys, seeds):
+        assert main(["gradcheck", "--seeds", seeds]) == 1
+        assert "--seeds must be >= 1" in capsys.readouterr().err
+
+    def test_train_rejects_nan_lr(self, cli_dirs, tmp_path, capsys):
+        _, feat, _ = cli_dirs
+        assert main(["train", "--features", str(feat), "--out", str(tmp_path / "run"), "--lr", "nan"]) == 1
+        assert "lr must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, classes", [("analyze", 3), ("train", 3), ("evaluate", 3), ("evaluate", 8), ("predict", 3)])
+    def test_out_of_range_label_exits_1(self, cli_dirs, tmp_path, capsys, command, classes):
+        # a test label of 7 against a 3-class model; with 8 classes in
+        # labels.tsv the feature directory is sound and only the
+        # checkpoint's class count rules the label out
+        _, feat, run = cli_dirs
+        bad = tmp_path / "feat"
+        bad.mkdir()
+        for name in ("train.ssnf", "normalizer.bin"):
+            (bad / name).write_bytes((feat / name).read_bytes())
+        x, y = read_features(feat / "test.ssnf")
+        y[0] = 7
+        write_features(bad / "test.ssnf", x, y)
+        write_class_names(bad / "labels.tsv", [f"c{i}" for i in range(classes)])
+        ckpt = str(run / "model.ssnw")
+        argv = {
+            "analyze": ["analyze", "--features", str(bad), "--out", str(tmp_path / "an")],
+            "train": ["train", "--features", str(bad), "--out", str(tmp_path / "run"), "--epochs", "1"],
+            "evaluate": ["evaluate", "--checkpoint", ckpt, "--features", str(bad), "--out", str(tmp_path / "ev")],
+            "predict": ["predict", "--checkpoint", ckpt, "--features", str(bad / "test.ssnf")],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        source = "labels.tsv" if command != "predict" and classes == 3 else ckpt
+        assert f"{bad / 'test.ssnf'}: label 7 is out of range for the 3 classes of {source}" in err
 
     def test_error_exit_code_and_stderr(self, tmp_path, capsys):
         code = main(["extract", "--manifest", str(tmp_path / "missing.tsv"), "--audio-root", ".", "--out", str(tmp_path / "o")])

@@ -217,5 +217,8 @@ class TestTrainConfigValidation:
             TrainConfig(lr=-1)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lr must be finite"):
+                TrainConfig(lr=lr)
         with pytest.raises(ValueError):
             TrainConfig(model="transformer")
