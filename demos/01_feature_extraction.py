@@ -14,12 +14,7 @@ import numpy as np
 
 from subspectral.audio import load_wav
 from subspectral.data import synth_fixture
-from subspectral.features import (
-    MelConfig,
-    apply_normalizer,
-    fit_normalizer,
-    log_mel_spectrogram,
-)
+from subspectral.features import apply_normalizer, fit_normalizer, log_mel_spectrogram, mel_filterbank
 
 work = Path(tempfile.mkdtemp(prefix="subspectral_demo_"))
 atexit.register(shutil.rmtree, work)
@@ -32,16 +27,18 @@ print(f"synthesized {len(manifest.entries)} clips, classes: {manifest.class_name
 clip = load_wav(work / manifest.entries[0].path)
 print(f"\nfirst clip: {clip.channels} channels x {clip.n_samples} samples @ {clip.sample_rate} Hz")
 
-# 40 mel bins; 1 s at a 20 ms hop gives 50 frames.
-mel = MelConfig(n_mels=40)
-spec = log_mel_spectrogram(clip, mel=mel)
+# 40 mel bins from 0 Hz to Nyquist; the filterbank depends only on the
+# bin count and the sample rate, so it is built once for the corpus.
+# 1 s at a 20 ms hop gives 50 frames.
+filterbank = mel_filterbank(40, clip.sample_rate)
+spec = log_mel_spectrogram(clip, filterbank)
 print(f"log-mel spectrogram: channels x bins x frames = {spec.shape}")
 print(f"value range: [{spec.min():.1f}, {spec.max():.1f}] (natural log of mel energy)")
 
 # Fit normalization statistics on the train split only: one
 # (clips, channels, bins, frames) stack.
 entries = manifest.split_entries("train")
-train = np.stack([log_mel_spectrogram(load_wav(work / e.path), mel=mel) for e in entries])
+train = np.stack([log_mel_spectrogram(load_wav(work / e.path), filterbank) for e in entries])
 norm = fit_normalizer(train)
 print(f"\nnormalizer: per-(channel, bin) mean/std, shape {norm.mean.shape}")
 

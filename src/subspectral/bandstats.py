@@ -181,8 +181,8 @@ def confusion_like_matrix(hists: BinHistogramSet, metric: str = "chisq", k: floa
     [0, 1]; it reads as a similarity, so large off-diagonal values flag
     the most confusable class pairs.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not (np.isfinite(k) and k > 0):
+        raise ValueError(f"k must be finite and positive, got {k}")
     raw = pairwise_distances(hists, metric)
     peak = raw.max()
     if peak <= 0:

@@ -77,8 +77,6 @@ def cmd_extract(args) -> int:
         args.out,
         mel_bins=args.mel_bins,
         channels=args.channels,
-        f_min=args.f_min,
-        f_max=args.f_max,
     )
     c, f, t = summary["shape"]
     print(
@@ -141,6 +139,10 @@ def cmd_evaluate(args) -> int:
     data = pipeline.load_feature_dir(args.features)
     graph, _meta = load_model(args.checkpoint)
     storage.check_labels(Path(args.features) / pipeline.TEST_FILE, data["test_y"], graph.desc["n_classes"], args.checkpoint)
+    names = graph.desc.get("class_names")
+    if names and names != data["class_names"]:
+        labels_path = Path(args.features) / pipeline.LABELS_FILE
+        raise storage.ContainerError(f"{labels_path}: class names {data['class_names']} differ from {args.checkpoint}'s {names}")
     report = evaluate_model(graph, data["test_x"], data["test_y"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -225,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--mel-bins", type=int, default=40)
     p.add_argument("--channels", choices=["mono", "stereo"], default="stereo")
-    p.add_argument("--f-min", type=float, default=0.0)
-    p.add_argument("--f-max", type=float, default=None)
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("analyze", help="band-activation histograms and distance matrices")

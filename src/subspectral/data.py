@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioClip, save_wav
-from .features import hz_to_mel, mel_to_hz
+from .features import check_sample_rate, hz_to_mel, mel_to_hz
 from .seeding import STREAM_SYNTH, philox_rng
 
 SPLITS = ("train", "test")
@@ -155,11 +155,13 @@ def synth_fixture(
 
     per_class counts clips per class in total; the trailing
     test_per_class of them (default max(1, per_class // 4)) land in the
-    test split. Deterministic for a fixed seed, down to the bytes.
+    test split. sample_rate must be one the feature frontend takes (up
+    to 51.2 kHz). Deterministic for a fixed seed, down to the bytes.
     Writes manifest.tsv and fixture.json (band metadata) into out_dir.
     """
     if not 1 <= classes <= 10:
         raise ValueError("classes must be in 1..10")
+    check_sample_rate(sample_rate)  # extract rejects the clips of any other rate
     if test_per_class is None:
         test_per_class = max(1, per_class // 4)
     if not 0 < test_per_class < per_class:

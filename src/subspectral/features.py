@@ -1,11 +1,10 @@
 """Log mel-energy spectrograms and bin-wise normalization.
 
-Feature recipe: 2048-point STFT over 40 ms Hamming windows hopped by
-20 ms, power spectrum, triangular Slaney-style mel filterbank with area
-normalization, natural log with a 1e-10 floor. The STFT part of the
-recipe is fixed; only the mel filterbank is configurable. A 40 ms window
-fits the 2048-point FFT up to 51.2 kHz, so higher sample rates are
-rejected.
+One fixed recipe: 2048-point STFT over 40 ms Hamming windows hopped by
+20 ms, power spectrum, triangular Slaney-style area-normalized mel
+filterbank from 0 Hz to Nyquist, natural log with a 1e-10 floor; only
+the mel count varies. Rates above 51.2 kHz (a 40 ms window longer than
+the FFT) and mel counts with a filter that covers no FFT bin are rejected.
 
 Features are plain float32 arrays: one clip is (C, F, T), a split is one
 stacked (N, C, F, T) array, and the normalizer is fitted on and applied
@@ -58,34 +57,21 @@ def hop_samples(sample_rate: int) -> int:
     return int(round(HOP_MS * sample_rate / 1000.0))
 
 
+def check_sample_rate(sample_rate: int) -> None:
+    """Raise ValueError unless the window and hop at sample_rate are at
+    least one sample and the window fits the FFT (up to 51.2 kHz)."""
+    win = window_samples(sample_rate)
+    if win < 1 or hop_samples(sample_rate) < 1:
+        raise ValueError(f"window/hop too short for sample rate {sample_rate}")
+    if win > FFT_SIZE:
+        raise ValueError(f"{WINDOW_MS:g} ms window of {win} samples at {sample_rate} Hz exceeds the {FFT_SIZE}-point FFT")
+
+
 def hamming_window(sample_rate: int) -> np.ndarray:
     """Periodic (DFT-even) Hamming window of window_samples(sample_rate)."""
     n = window_samples(sample_rate)
     t = 2.0 * np.pi * np.arange(n) / n
     return 0.54 - 0.46 * np.cos(t)
-
-
-@dataclass(frozen=True)
-class MelConfig:
-    """Mel filterbank parameters; f_max=None means Nyquist."""
-
-    n_mels: int = 40
-    f_min: float = 0.0
-    f_max: float | None = None
-
-    def __post_init__(self):
-        if self.n_mels < 1:
-            raise ValueError("n_mels must be >= 1")
-        if self.f_max is not None and not self.f_min < self.f_max:
-            raise ValueError(f"need f_min < f_max, got [{self.f_min}, {self.f_max}]")
-
-    def resolved_f_max(self, sample_rate: int) -> float:
-        nyquist = sample_rate / 2.0
-        if self.f_max is None:
-            return nyquist
-        if self.f_max > nyquist:
-            raise ValueError(f"f_max {self.f_max} above Nyquist {nyquist}")
-        return self.f_max
 
 
 @dataclass
@@ -106,16 +92,20 @@ class BinNormalizer:
             raise ValueError("std entries must be finite and positive")
 
 
-def mel_edge_frequencies(mel: MelConfig, sample_rate: int) -> np.ndarray:
-    """n_mels + 2 filter edge frequencies in Hz, evenly spaced in mel."""
-    lo = hz_to_mel(mel.f_min)
-    hi = hz_to_mel(mel.resolved_f_max(sample_rate))
-    return mel_to_hz(np.linspace(lo, hi, mel.n_mels + 2))
+def mel_edge_frequencies(n_mels: int, sample_rate: int) -> np.ndarray:
+    """n_mels + 2 filter edges in Hz, evenly spaced in mel from 0 Hz to Nyquist."""
+    return mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2))
 
 
-def mel_filterbank(mel: MelConfig, sample_rate: int) -> np.ndarray:
-    """Triangular area-normalized filterbank, (n_mels, FFT_SIZE//2 + 1)."""
-    edges = mel_edge_frequencies(mel, sample_rate)
+def mel_filterbank(n_mels: int, sample_rate: int) -> np.ndarray:
+    """Triangular area-normalized filterbank, (n_mels, FFT_SIZE//2 + 1).
+
+    Every filter must cover at least one FFT bin: an empty one would give
+    a feature row that is the log floor in every clip.
+    """
+    if n_mels < 1:
+        raise ValueError(f"n_mels must be >= 1, got {n_mels}")
+    edges = mel_edge_frequencies(n_mels, sample_rate)
     fft_freqs = np.arange(FFT_SIZE // 2 + 1) * (sample_rate / FFT_SIZE)
     lower = edges[:-2, None]
     center = edges[1:-1, None]
@@ -124,54 +114,38 @@ def mel_filterbank(mel: MelConfig, sample_rate: int) -> np.ndarray:
     falling = (upper - fft_freqs[None, :]) / (upper - center)
     weights = np.maximum(0.0, np.minimum(rising, falling))
     weights *= (2.0 / (upper - lower))  # unit-area triangles
+    empty = int(np.count_nonzero(~weights.any(axis=1)))
+    if empty:
+        raise ValueError(
+            f"{empty} of {n_mels} mel filters at {sample_rate} Hz cover no bin of the {FFT_SIZE}-point FFT; use fewer mel bins"
+        )
     return weights
 
 
-def frame_count(n_samples: int, hop: int) -> int:
-    """Raw frame count under center padding: 1 + ceil(n/hop)."""
-    return 1 + math.ceil(n_samples / hop)
-
-
-def _frame_channel(x: np.ndarray, win: int, hop: int) -> np.ndarray:
-    n_raw = frame_count(len(x), hop)
-    last_center = (n_raw - 1) * hop
-    pad_left = win // 2
-    pad_right = last_center + (win - win // 2) - len(x)
-    padded = np.pad(x, (pad_left, pad_right), mode="reflect")
-    view = np.lib.stride_tricks.sliding_window_view(padded, win)
-    return view[:: hop][:n_raw]
-
-
-def log_mel_spectrogram(clip, mel: MelConfig = MelConfig()) -> np.ndarray:
+def log_mel_spectrogram(clip, filterbank: np.ndarray) -> np.ndarray:
     """Extract a (C, F, T) float32 log mel-energy spectrogram from an AudioClip.
 
-    Frames are centered at multiples of the hop (reflect padding), giving
-    1 + ceil(n/hop) raw frames; trailing frames are cropped to n // hop
-    (500 for 10 s at 48 kHz). Deterministic for fixed input.
+    filterbank is mel_filterbank(n_mels, clip.sample_rate), built once per
+    rate. Frames are centered at multiples of the hop (reflect padding);
+    there are n // hop of them (500 for 10 s at 48 kHz).
     """
     sr = clip.sample_rate
+    check_sample_rate(sr)
     win = window_samples(sr)
     hop = hop_samples(sr)
-    if win < 1 or hop < 1:
-        raise ValueError(f"window/hop too short for sample rate {sr}")
-    if win > FFT_SIZE:
-        raise ValueError(f"{WINDOW_MS:g} ms window of {win} samples at {sr} Hz exceeds the {FFT_SIZE}-point FFT")
     if clip.n_samples < win:
         raise ValueError(f"clip of {clip.n_samples} samples shorter than one {win}-sample window")
     if np.isnan(clip.samples).any():
         raise ValueError("clip contains NaN samples")
 
     n_frames = clip.n_samples // hop
-    window = hamming_window(sr)
-    filterbank = mel_filterbank(mel, sr)
-    channels = []
-    for ch in clip.samples:
-        frames = _frame_channel(ch, win, hop)[:n_frames]
-        spectrum = np.fft.rfft(frames * window, n=FFT_SIZE, axis=1)
-        power = np.abs(spectrum) ** 2
-        energies = power @ filterbank.T  # (T, F)
-        channels.append(np.log(energies + LOG_FLOOR).T)
-    spec = np.stack(channels, axis=0).astype(np.float32)
+    padded = np.pad(clip.samples, ((0, 0), (win // 2, win - win // 2)), mode="reflect")
+    frames = np.lib.stride_tricks.sliding_window_view(padded, win, axis=1)[:, : n_frames * hop : hop]
+    spectrum = np.fft.rfft(frames * hamming_window(sr), n=FFT_SIZE, axis=2)
+    energies = (np.abs(spectrum) ** 2) @ filterbank.T  # (C, T, F)
+    # a (C, F, T) view of (C, T, F) memory: fit_normalizer's summation
+    # order, and so the bits of its statistics, depend on this layout
+    spec = np.log(energies + LOG_FLOOR).transpose(0, 2, 1).astype(np.float32)
     if not np.all(np.isfinite(spec)):
         raise ValueError("spectrogram contains non-finite values")
     return spec

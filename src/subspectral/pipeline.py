@@ -15,7 +15,7 @@ import numpy as np
 from . import bandstats, storage
 from .audio import load_wav, to_mono
 from .data import DatasetManifest
-from .features import MelConfig, apply_normalizer, fit_normalizer, log_mel_spectrogram
+from .features import apply_normalizer, fit_normalizer, log_mel_spectrogram, mel_filterbank
 
 TRAIN_FILE = "train.ssnf"
 TEST_FILE = "test.ssnf"
@@ -27,16 +27,20 @@ def extract_split(
     manifest: DatasetManifest,
     split: str,
     audio_root,
-    mel: MelConfig,
+    mel_bins: int,
     channels: str = "stereo",
-) -> tuple[np.ndarray, np.ndarray]:
+    sample_rate: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Extract one split's raw (unnormalized) features as an (N, C, F, T)
-    float32 stack, with its uint32 label ids.
+    float32 stack, with its uint32 label ids and the split's sample rate.
 
-    Every clip must give the first clip's (C, F, T) shape; the error for
-    one that does not names its path.
+    Every clip must have sample_rate (default: the first clip's), so one
+    filterbank serves the split, and give the first clip's (C, F, T)
+    shape; the error for a clip that does not, or that the frontend
+    rejects, names its path.
     """
     root = Path(audio_root)
+    filterbank = None
     specs = []
     labels = []
     for entry in manifest.split_entries(split):
@@ -44,9 +48,18 @@ def extract_split(
         if not clip_path.exists():
             raise FileNotFoundError(f"clip listed in manifest not found: {clip_path}")
         clip = load_wav(clip_path)
+        if sample_rate is None:
+            sample_rate = clip.sample_rate
+        if clip.sample_rate != sample_rate:
+            raise ValueError(f"{clip_path}: sample rate {clip.sample_rate} Hz differs from the dataset's {sample_rate} Hz")
         if channels == "mono":
             clip = to_mono(clip)
-        spec = log_mel_spectrogram(clip, mel)
+        try:
+            if filterbank is None:
+                filterbank = mel_filterbank(mel_bins, sample_rate)
+            spec = log_mel_spectrogram(clip, filterbank)
+        except ValueError as exc:
+            raise ValueError(f"{clip_path}: {exc}") from None
         if specs and spec.shape != specs[0].shape:
             raise ValueError(f"{clip_path}: spectrogram shape {spec.shape} differs from the first clip's {specs[0].shape}")
         specs.append(spec)
@@ -55,7 +68,7 @@ def extract_split(
         raise ValueError(f"manifest has no entries for split {split!r}")
     # np.stack keeps the spectrograms' memory layout, on which the summation
     # order, and so the bits, of fit_normalizer's float64 statistics depend
-    return np.stack(specs), np.asarray(labels, dtype=np.uint32)
+    return np.stack(specs), np.asarray(labels, dtype=np.uint32), sample_rate
 
 
 def extract_dataset(
@@ -65,20 +78,18 @@ def extract_dataset(
     *,
     mel_bins: int = 40,
     channels: str = "stereo",
-    f_min: float = 0.0,
-    f_max: float | None = None,
 ) -> dict:
     """Extract both splits, fit the train normalizer, write containers.
 
-    Produces train.ssnf / test.ssnf (normalized features), normalizer.bin
-    and labels.tsv inside out_dir. Returns a summary dict.
+    All clips must share the first train clip's sample rate. Produces
+    train.ssnf / test.ssnf (normalized features), normalizer.bin and
+    labels.tsv inside out_dir. Returns a summary dict.
     """
-    mel = MelConfig(n_mels=mel_bins, f_min=f_min, f_max=f_max)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    train_raw, train_labels = extract_split(manifest, "train", audio_root, mel, channels)
-    test_raw, test_labels = extract_split(manifest, "test", audio_root, mel, channels)
+    train_raw, train_labels, sample_rate = extract_split(manifest, "train", audio_root, mel_bins, channels)
+    test_raw, test_labels, _ = extract_split(manifest, "test", audio_root, mel_bins, channels, sample_rate)
     norm = fit_normalizer(train_raw)
     train_x = apply_normalizer(train_raw, norm)
     test_x = apply_normalizer(test_raw, norm)

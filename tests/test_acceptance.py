@@ -21,7 +21,7 @@ import pytest
 from subspectral.bandstats import histogram_peak, most_alike_profiles, most_similar_pair
 from subspectral.cli import main
 from subspectral.data import synth_fixture
-from subspectral.features import MelConfig, mel_edge_frequencies
+from subspectral.features import mel_edge_frequencies
 from subspectral.models import build_model, count_params, model_description
 from subspectral.pipeline import analyze_dataset, extract_dataset, load_feature_dir
 from subspectral.training import TrainConfig, train_model
@@ -218,7 +218,7 @@ def test_criterion_5_band_statistics(desk_runs, tmp_path):
     artifacts = analyze_dataset(desk_runs.features_dir, tmp_path / "analysis", k=10.0)
     hists = artifacts["histograms"]
     bands = json.loads((desk_runs.fixture_dir / "fixture.json").read_text())["bands_hz"]
-    edges = mel_edge_frequencies(MelConfig(n_mels=40), 48000)
+    edges = mel_edge_frequencies(40, 48000)
     centers = edges[1:-1]
     peak_ok = []
     for idx, name in enumerate(hists.class_ids):

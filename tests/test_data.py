@@ -16,7 +16,7 @@ from subspectral.data import (
     synth_fixture,
     write_manifest,
 )
-from subspectral.features import MelConfig, log_mel_spectrogram, mel_edge_frequencies
+from subspectral.features import log_mel_spectrogram, mel_edge_frequencies, mel_filterbank
 from subspectral.pipeline import extract_dataset, load_feature_dir
 
 # per-clip gain jitter of the band signal: +-6 dB, i.e. +-ln 4 nats of log power
@@ -139,10 +139,10 @@ class TestSynthFixture:
         meta = json.loads((out / "fixture.json").read_text())
         lo, hi = meta["bands_hz"]["band00"]
         clip = load_wav(out / "audio" / "band00-000.wav")
-        spec = log_mel_spectrogram(clip, mel=MelConfig(n_mels=40))
+        spec = log_mel_spectrogram(clip, mel_filterbank(40, 48000))
         mean_energy = spec.mean(axis=(0, 2))
         peak = int(np.argmax(mean_energy))
-        edges = mel_edge_frequencies(MelConfig(n_mels=40), 48000)
+        edges = mel_edge_frequencies(40, 48000)
         # band 0 spans the lowest slice of the spectrum
         assert edges[peak] <= hi
         assert peak <= 6
@@ -154,13 +154,13 @@ class TestSynthFixture:
         # bins carry class information that the per-bin statistics pick up
         out, manifest = fixture_dir
         bands = json.loads((out / "fixture.json").read_text())["bands_hz"]
-        mel = MelConfig(n_mels=40)
-        centers = mel_edge_frequencies(mel, 48000)[1:-1]
+        filterbank = mel_filterbank(40, 48000)
+        centers = mel_edge_frequencies(40, 48000)[1:-1]
         profiles = np.array(
             [
                 np.mean(
                     [
-                        log_mel_spectrogram(load_wav(out / e.path), mel=mel).mean(axis=(0, 2))
+                        log_mel_spectrogram(load_wav(out / e.path), filterbank).mean(axis=(0, 2))
                         for e in manifest.entries
                         if e.label == name
                     ],

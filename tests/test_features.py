@@ -9,10 +9,8 @@ from subspectral.features import (
     STD_FLOOR,
     FFT_SIZE,
     BinNormalizer,
-    MelConfig,
     apply_normalizer,
     fit_normalizer,
-    frame_count,
     hamming_window,
     hop_samples,
     hz_to_mel,
@@ -32,46 +30,49 @@ def tone(freq, seconds=1.0, sr=SR, channels=1, amp=0.5):
     return AudioClip(samples=np.tile(x, (channels, 1)), sample_rate=sr)
 
 
+FB40 = mel_filterbank(40, SR)
+
+
 class TestFraming:
     def test_ten_second_clip_gives_500_frames(self):
         clip = AudioClip(samples=np.zeros((2, 480000)), sample_rate=SR)
-        spec = log_mel_spectrogram(clip, mel=MelConfig(n_mels=40))
+        spec = log_mel_spectrogram(clip, FB40)
         assert spec.shape == (2, 40, 500)
-        # raw count before the trailing crop: 1 + 480000/960
-        assert frame_count(480000, 960) == 501
 
-    def test_frame_count_ceil(self):
-        assert frame_count(1000, 960) == 3
-        assert frame_count(960, 960) == 2
+    @pytest.mark.parametrize("n_samples", [1920, 1921, 48500, 480000])
+    def test_n_frames_is_samples_over_hop(self, n_samples):
+        # one window, one window plus a sample, not a multiple of the hop, 10 s
+        clip = AudioClip(samples=np.zeros((1, n_samples)), sample_rate=SR)
+        assert log_mel_spectrogram(clip, FB40).shape == (1, 40, n_samples // hop_samples(SR))
 
     def test_short_clip_errors(self):
         clip = AudioClip(samples=np.zeros((1, 1000)), sample_rate=SR)
         with pytest.raises(ValueError, match="shorter than one"):
-            log_mel_spectrogram(clip)
+            log_mel_spectrogram(clip, FB40)
 
     def test_nan_errors(self):
         samples = np.zeros((1, 48000))
         samples[0, 5] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            log_mel_spectrogram(AudioClip(samples=samples, sample_rate=SR))
+            log_mel_spectrogram(AudioClip(samples=samples, sample_rate=SR), FB40)
 
     def test_inf_sample_gives_non_finite_error(self):
         samples = np.zeros((1, 48000))
         samples[0, 5] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-            log_mel_spectrogram(AudioClip(samples=samples, sample_rate=SR))
+            log_mel_spectrogram(AudioClip(samples=samples, sample_rate=SR), FB40)
 
     def test_window_longer_than_fft_errors(self):
         # 40 ms at 96 kHz is 3840 samples, more than the 2048-point FFT
         clip = AudioClip(samples=np.zeros((1, 96000)), sample_rate=96000)
         with pytest.raises(ValueError, match="3840 samples at 96000 Hz exceeds the 2048-point FFT"):
-            log_mel_spectrogram(clip)
+            log_mel_spectrogram(clip, FB40)
 
     def test_window_exactly_fft_size_is_accepted(self):
         # 40 ms at 51.2 kHz is exactly 2048 samples
         assert window_samples(51200) == FFT_SIZE
         clip = AudioClip(samples=np.zeros((1, 51200)), sample_rate=51200)
-        spec = log_mel_spectrogram(clip)
+        spec = log_mel_spectrogram(clip, mel_filterbank(40, 51200))
         assert spec.shape == (1, 40, 50)
         assert np.all(np.isfinite(spec))
 
@@ -85,34 +86,44 @@ class TestMelScale:
         f = np.linspace(0, 24000, 2000)
         assert np.all(np.diff(hz_to_mel(f)) > 0)
 
-    @pytest.mark.parametrize("n_mels", [40, 200])
-    def test_filterbank_nonnegative_and_covering(self, n_mels):
-        fb = mel_filterbank(MelConfig(n_mels=n_mels), SR)
+    @pytest.mark.parametrize(
+        "n_mels, sr", [pytest.param(40, SR, id="40"), pytest.param(200, SR, id="200"), pytest.param(40, 51200, id="40-51200")]
+    )
+    def test_filterbank_nonnegative_and_covering(self, n_mels, sr):
+        fb = mel_filterbank(n_mels, sr)
         assert fb.shape == (n_mels, FFT_SIZE // 2 + 1)
         assert np.all(fb >= 0)
         assert not np.any(fb.sum(axis=1) == 0), "every filter must touch at least one FFT bin"
-        freqs = np.arange(FFT_SIZE // 2 + 1) * (SR / FFT_SIZE)
-        interior = (freqs > 0) & (freqs < SR / 2)
+        freqs = np.arange(FFT_SIZE // 2 + 1) * (sr / FFT_SIZE)
+        interior = (freqs > 0) & (freqs < sr / 2)
         assert np.all(fb.sum(axis=0)[interior] > 0), "every interior FFT bin must be covered"
+
+    def test_filterbank_spans_zero_to_nyquist(self):
+        edges = mel_edge_frequencies(40, SR)
+        assert edges[0] == 0.0
+        np.testing.assert_allclose(edges[-1], SR / 2, rtol=1e-12)
+
+    def test_empty_filters_error(self):
+        # at 48 kHz, 14 of 400 filters fall between two FFT bins
+        with pytest.raises(ValueError, match="14 of 400 mel filters at 48000 Hz cover no bin"):
+            mel_filterbank(400, SR)
 
 
 class TestLogMel:
     def test_silence_hits_log_floor(self):
         clip = AudioClip(samples=np.zeros((2, 48000)), sample_rate=SR)
-        spec = log_mel_spectrogram(clip, mel=MelConfig(n_mels=40))
+        spec = log_mel_spectrogram(clip, FB40)
         assert np.all(np.isfinite(spec))
         np.testing.assert_allclose(spec, np.log(LOG_FLOOR), rtol=1e-6)
 
     @pytest.mark.parametrize("band", [2, 7, 13, 25, 39])
     def test_sine_at_band_center_peaks_there(self, band):
-        mel = MelConfig(n_mels=40)
-        centers = mel_edge_frequencies(mel, SR)[1:-1]
-        spec = log_mel_spectrogram(tone(centers[band]), mel)
+        centers = mel_edge_frequencies(40, SR)[1:-1]
+        spec = log_mel_spectrogram(tone(centers[band]), FB40)
         assert int(np.argmax(spec[0].mean(axis=1))) == band
 
     def test_sine_matches_single_frame_oracle(self):
         # direct DFT + filterbank dot product on one hand-built frame
-        mel = MelConfig(n_mels=40)
         freq = 3000.0
         clip = tone(freq)
         win = window_samples(SR)
@@ -121,15 +132,15 @@ class TestLogMel:
         start = frame_index * hop - win // 2
         frame = clip.samples[0, start : start + win] * hamming_window(SR)
         power = np.abs(np.fft.rfft(frame, n=FFT_SIZE)) ** 2
-        oracle = np.log(mel_filterbank(mel, SR) @ power + LOG_FLOOR)
-        spec = log_mel_spectrogram(clip, mel)
+        oracle = np.log(FB40 @ power + LOG_FLOOR)
+        spec = log_mel_spectrogram(clip, FB40)
         np.testing.assert_allclose(spec[0, :, frame_index], oracle, rtol=1e-5, atol=1e-5)
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(0)
         clip = AudioClip(samples=rng.standard_normal((2, 48000)) * 0.2, sample_rate=SR)
-        a = log_mel_spectrogram(clip)
-        b = log_mel_spectrogram(clip)
+        a = log_mel_spectrogram(clip, FB40)
+        b = log_mel_spectrogram(clip, FB40)
         assert np.array_equal(a, b)
 
     def test_stereo_channels_independent(self):
@@ -137,8 +148,8 @@ class TestLogMel:
         left = rng.standard_normal(48000) * 0.1
         right = np.zeros(48000)
         clip = AudioClip(samples=np.stack([left, right]), sample_rate=SR)
-        spec = log_mel_spectrogram(clip, mel=MelConfig(n_mels=40))
-        mono = log_mel_spectrogram(AudioClip(samples=left[None], sample_rate=SR), mel=MelConfig(n_mels=40))
+        spec = log_mel_spectrogram(clip, FB40)
+        mono = log_mel_spectrogram(AudioClip(samples=left[None], sample_rate=SR), FB40)
         np.testing.assert_array_equal(spec[0], mono[0])
         np.testing.assert_allclose(spec[1], np.log(LOG_FLOOR), rtol=1e-6)
 
@@ -217,9 +228,6 @@ class TestNormalizer:
 
 class TestConfigValidation:
     def test_mel_bounds(self):
-        with pytest.raises(ValueError):
-            MelConfig(n_mels=0)
-        with pytest.raises(ValueError):
-            MelConfig(n_mels=10, f_min=500.0, f_max=100.0)
-        with pytest.raises(ValueError, match="Nyquist"):
-            MelConfig(n_mels=10, f_max=30000.0).resolved_f_max(SR)
+        for n_mels in (0, -3):
+            with pytest.raises(ValueError, match="n_mels must be >= 1"):
+                mel_filterbank(n_mels, SR)

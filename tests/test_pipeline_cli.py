@@ -101,6 +101,41 @@ class TestExtractPipeline:
         assert main(args) == 1
         assert entry.path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_odd_sample_rate_is_named(self, tmp_path, capsys, split):
+        # one odd clip inside the train split, or a whole test split at
+        # another rate than the train split: the first odd clip is named
+        fix = tmp_path / "fix"
+        manifest = synth_fixture(2, 3, fix, test_per_class=1, seconds=0.5, seed=3)
+        odd = [manifest.split_entries("train")[-1]] if split == "train" else manifest.split_entries("test")
+        for entry in odd:
+            clip = load_wav(fix / entry.path)
+            save_wav(fix / entry.path, AudioClip(samples=clip.samples, sample_rate=44100))
+        message = f"{odd[0].path}: sample rate 44100 Hz differs from the dataset's 48000 Hz"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            extract_dataset(manifest, fix, tmp_path / "feat")
+        args = ["extract", "--manifest", str(fix / "manifest.tsv"), "--audio-root", str(fix), "--out", str(tmp_path / "cli")]
+        assert main(args) == 1
+        assert message in capsys.readouterr().err
+
+    def test_frontend_error_names_the_clip(self, tmp_path, capsys):
+        # a 96 kHz clip's 40 ms window (3840 samples) exceeds the FFT
+        rng = np.random.default_rng(0)
+        for name in ("a.wav", "b.wav"):
+            save_wav(tmp_path / name, AudioClip(samples=rng.uniform(-0.5, 0.5, (1, 96000)), sample_rate=96000))
+        (tmp_path / "manifest.tsv").write_text("a.wav\tcar\ttrain\nb.wav\tbus\ttest\n")
+        args = ["extract", "--manifest", str(tmp_path / "manifest.tsv"), "--audio-root", str(tmp_path), "--out", str(tmp_path / "feat")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'a.wav'}: 40 ms window of 3840 samples at 96000 Hz exceeds the 2048-point FFT" in err
+
+    def test_mel_count_with_empty_filters_exits_1(self, fixture_dir, tmp_path, capsys):
+        out_dir, _ = fixture_dir
+        args = ["extract", "--manifest", str(out_dir / "manifest.tsv"), "--audio-root", str(out_dir), "--out", str(tmp_path / "feat")]
+        assert main(args + ["--mel-bins", "400"]) == 1
+        assert "14 of 400 mel filters at 48000 Hz cover no bin" in capsys.readouterr().err
+        assert not (tmp_path / "feat" / "train.ssnf").exists()
+
     def test_mono_channel_mode(self, fixture_dir, tmp_path):
         out_dir, manifest = fixture_dir
         summary = extract_dataset(manifest, out_dir, tmp_path / "mono", mel_bins=40, channels="mono")
@@ -162,6 +197,36 @@ class TestCli:
         captured = capsys.readouterr()
         assert "hellinger matrix" in captured.out
         assert (out / "matrix_hellinger.tsv").exists()
+
+    @pytest.mark.parametrize("k", ["nan", "inf", "0"])
+    def test_analyze_needs_finite_positive_k(self, cli_dirs, tmp_path, capsys, k):
+        _, feat, _ = cli_dirs
+        assert main(["analyze", "--features", str(feat), "--out", str(tmp_path / "an"), "--k", k]) == 1
+        assert "k must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "an" / "matrix_chisq.tsv").exists()
+
+    def test_evaluate_rejects_other_class_names(self, cli_dirs, tmp_path, capsys):
+        # same class count as the checkpoint (band00-band02), other names
+        _, feat, run = cli_dirs
+        other = tmp_path / "feat"
+        other.mkdir()
+        for name in ("train.ssnf", "test.ssnf", "normalizer.bin"):
+            (other / name).write_bytes((feat / name).read_bytes())
+        write_class_names(other / "labels.tsv", ["car", "bus", "tram"])
+        ckpt = run / "model.ssnw"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--features", str(other), "--out", str(tmp_path / "ev")]) == 1
+        err = capsys.readouterr().err
+        assert str(other / "labels.tsv") in err and str(ckpt) in err
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("rate, code", [(96000, 1), (51200, 0)])
+    def test_synth_rejects_rates_extract_cannot_read(self, tmp_path, capsys, rate, code):
+        # extract's 40 ms window fits the 2048-point FFT up to 51.2 kHz
+        args = ["synth", "--classes", "2", "--per-class", "2", "--seconds", "0.1", "--sample-rate", str(rate), "--out", str(tmp_path)]
+        assert main(args) == code
+        if code:
+            assert "40 ms window of 3840 samples at 96000 Hz exceeds the 2048-point FFT" in capsys.readouterr().err
+            assert not (tmp_path / "manifest.tsv").exists()
 
     def test_paramcount_matches_library(self, capsys):
         code = main(["paramcount", "--model", "baseline", "--mel-bins", "40", "--channels", "stereo"])
