@@ -78,17 +78,41 @@ def _pooled_size(x_shape, pool_h: int, pool_w: int) -> tuple[int, int]:
 
 def maxpool2d(x: np.ndarray, pool_h: int, pool_w: int):
     """Non-overlapping max pooling with floor division; remainder rows and
-    columns are discarded. Returns (y, argmax indices for backward)."""
-    n, c, _, _ = x.shape
+    columns are discarded. Returns (y, idx): y is maxpool2d_eval's, and
+    idx the row-major offset i * pool_w + j of each window's first
+    maximum, in the smallest unsigned dtype that holds pool_h * pool_w - 1.
+
+    idx is a running maximum of found * offset, where found marks an
+    element strictly greater than the running maximum: offsets only grow
+    along the scan, so the newest winner's offset wins, and a tie keeps
+    the earlier element, as argmax does. Only in a window holding a NaN
+    may idx differ from argmax's (y is NaN there either way, and training
+    stops on the non-finite loss before any backward).
+    """
     ho, wo = _pooled_size(x.shape, pool_h, pool_w)
-    windows = (
-        x[:, :, : ho * pool_h, : wo * pool_w]
-        .reshape(n, c, ho, pool_h, wo, pool_w)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, ho, wo, pool_h * pool_w)
-    )
-    idx = windows.argmax(axis=-1)
-    y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    rows, cols = ho * pool_h, wo * pool_w
+    itype = np.min_scalar_type(pool_h * pool_w - 1)
+    # columns: m is each row's window maximum, jdx its column offset
+    m = x[:, :, :rows, 0:cols:pool_w].copy()
+    jdx = np.zeros(m.shape, dtype=itype)
+    found = np.empty(m.shape, dtype=bool)
+    cand = np.empty(m.shape, dtype=itype)
+    for j in range(1, pool_w):
+        xj = x[:, :, :rows, j:cols:pool_w]
+        np.greater(xj, m, out=found)
+        np.maximum(xj, m, out=m)
+        np.maximum(jdx, np.multiply(found, itype.type(j), out=cand), out=jdx)
+    # rows: the same scan over each window's row maxima
+    y = m[:, :, 0:rows:pool_h].copy()
+    idx = jdx[:, :, 0:rows:pool_h].copy()
+    found, cand = found[:, :, :ho], cand[:, :, :ho]
+    for i in range(1, pool_h):
+        mi = m[:, :, i:rows:pool_h]
+        np.greater(mi, y, out=found)
+        np.maximum(mi, y, out=y)
+        np.add(jdx[:, :, i:rows:pool_h], itype.type(i * pool_w), out=cand)
+        cand *= found
+        np.maximum(idx, cand, out=idx)
     return y, idx
 
 
@@ -99,7 +123,7 @@ def maxpool2d_eval(x: np.ndarray, pool_h: int, pool_w: int) -> np.ndarray:
     np.maximum returns its second operand when the two compare equal, so
     the running maximum goes second: a tie keeps the earlier element, as
     argmax's first-maximum rule does, and the bytes (signed zeros
-    included) match maxpool2d's.
+    included) are those of the window's first maximum.
     """
     ho, wo = _pooled_size(x.shape, pool_h, pool_w)
     rows, cols = ho * pool_h, wo * pool_w
@@ -113,14 +137,23 @@ def maxpool2d_eval(x: np.ndarray, pool_h: int, pool_w: int) -> np.ndarray:
 
 
 def maxpool2d_backward(dy: np.ndarray, idx: np.ndarray, x_shape, pool_h: int, pool_w: int) -> np.ndarray:
+    """Route each dy to its window's first maximum: one scatter into a
+    zeroed dx through the flat offset of each winner.
+
+    Window offset k = i * pool_w + j sits i * w + j past the window's
+    top-left corner, that is k + i * (w - pool_w); the offsets are built
+    in place in one intp array of dy's size.
+    """
     n, c, h, w = x_shape
-    ho, wo = h // pool_h, w // pool_w
-    dwin = np.zeros((n, c, ho, wo, pool_h * pool_w), dtype=dy.dtype)
-    np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
+    ho, wo = dy.shape[2], dy.shape[3]
+    flat = np.floor_divide(idx, pool_w, dtype=np.intp)
+    flat *= w - pool_w
+    flat += idx
+    flat += (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
+    flat += np.arange(ho)[:, None] * (pool_h * w)
+    flat += np.arange(wo) * pool_w
     dx = np.zeros(x_shape, dtype=dy.dtype)
-    dx[:, :, : ho * pool_h, : wo * pool_w] = (
-        dwin.reshape(n, c, ho, wo, pool_h, pool_w).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho * pool_h, wo * pool_w)
-    )
+    dx.put(flat, dy)
     return dx
 
 
@@ -137,12 +170,16 @@ def batchnorm2d_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: f
     """Per-channel batch normalization using (biased) batch statistics.
 
     Returns (y, batch_mean, batch_var, cache) where cache feeds backward.
+    xhat = (x - mean) * inv and y = gamma * xhat + beta are two full-size
+    arrays, each computed in place after its first operation.
     """
     mean, var = _channel_moments(x)
     inv = 1.0 / np.sqrt(var + eps)
     inv_t = inv.astype(x.dtype)
-    xhat = (x - mean.astype(x.dtype)[None, :, None, None]) * inv_t[None, :, None, None]
-    y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    xhat = np.subtract(x, mean.astype(x.dtype)[None, :, None, None])
+    xhat *= inv_t[None, :, None, None]
+    y = np.multiply(gamma[None, :, None, None], xhat)
+    y += beta[None, :, None, None]
     cache = (xhat, inv_t, gamma)
     return y.astype(x.dtype, copy=False), mean, var, cache
 
@@ -160,18 +197,21 @@ def batchnorm2d_eval(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, mean: n
 
 
 def batchnorm2d_backward(dy: np.ndarray, cache):
+    """Gradients (dx, dgamma, dbeta) for batchnorm2d_train:
+    dx = (inv / m) * ((m * dxhat - sum(dxhat)) - xhat * sum(dxhat * xhat))
+    with dxhat = dy * gamma, evaluated in place in the array that holds
+    dxhat; xhat times its sum is the one other full-size array."""
     xhat, inv, gamma = cache
     m = dy.shape[0] * dy.shape[2] * dy.shape[3]
     dgamma = np.einsum("nchw,nchw->c", dy, xhat, dtype=np.float64)
     dbeta = dy.sum(axis=(0, 2, 3), dtype=np.float64)
-    dxhat = dy * gamma[None, :, None, None]
-    sum_dxhat = dxhat.sum(axis=(0, 2, 3), dtype=np.float64)
-    sum_dxhat_xhat = np.einsum("nchw,nchw->c", dxhat, xhat, dtype=np.float64)
-    dx = (inv[None, :, None, None] / m) * (
-        m * dxhat
-        - sum_dxhat.astype(dy.dtype)[None, :, None, None]
-        - xhat * sum_dxhat_xhat.astype(dy.dtype)[None, :, None, None]
-    )
+    dx = np.multiply(dy, gamma[None, :, None, None])
+    sum_dxhat = dx.sum(axis=(0, 2, 3), dtype=np.float64)
+    sum_dxhat_xhat = np.einsum("nchw,nchw->c", dx, xhat, dtype=np.float64)
+    dx *= m
+    dx -= sum_dxhat.astype(dy.dtype)[None, :, None, None]
+    dx -= np.multiply(xhat, sum_dxhat_xhat.astype(dy.dtype)[None, :, None, None])
+    dx *= inv[None, :, None, None] / m
     return dx.astype(dy.dtype, copy=False), dgamma, dbeta
 
 
@@ -179,8 +219,9 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
-def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return dy * (x > 0)
+def relu_backward(dy: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """dy where the forward input was positive; mask is that input > 0."""
+    return dy * mask
 
 
 def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

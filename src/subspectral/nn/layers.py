@@ -172,14 +172,14 @@ class ReLU(Layer):
 
     def __init__(self, name=""):
         super().__init__(name)
-        self._x = None
+        self._mask = None
 
     def forward(self, x, train):
-        self._x = x if train else None
+        self._mask = x > 0 if train else None
         return F.relu(x)
 
     def backward(self, dy):
-        return F.relu_backward(dy, self._saved(self._x))
+        return F.relu_backward(dy, self._saved(self._mask))
 
 
 class MaxPool2d(Layer):

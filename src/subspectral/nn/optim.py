@@ -33,7 +33,10 @@ class ParamStore:
 
 
 def adam_step(store: ParamStore, lr: float = 1e-3) -> None:
-    """Bias-corrected Adam update over every parameter in the store.
+    """Bias-corrected Adam update over every parameter in the store:
+    m = BETA1 * m + (1 - BETA1) * g, v = BETA2 * v + ((1 - BETA2) * g) * g,
+    p -= (lr * m_hat) / (sqrt(v_hat) + EPS), each evaluated in place in
+    that operation order, with two parameter-size temporaries.
 
     A non-finite gradient anywhere rejects the whole step before any
     parameter or moment changes."""
@@ -46,8 +49,17 @@ def adam_step(store: ParamStore, lr: float = 1e-3) -> None:
         g = p.grad
         m = store.first_moment[p.name]
         v = store.second_moment[p.name]
-        m[...] = BETA1 * m + (1 - BETA1) * g
-        v[...] = BETA2 * v + (1 - BETA2) * g * g
-        m_hat = m / (1 - BETA1**t)
-        v_hat = v / (1 - BETA2**t)
-        p.data[...] = p.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
+        m *= BETA1
+        step = np.multiply(g, 1 - BETA1)
+        m += step
+        v *= BETA2
+        denom = np.multiply(g, 1 - BETA2)
+        denom *= g
+        v += denom
+        np.divide(m, 1 - BETA1**t, out=step)
+        step *= lr
+        np.divide(v, 1 - BETA2**t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        step /= denom
+        p.data -= step

@@ -85,14 +85,14 @@ def extract_dataset(
     train.ssnf / test.ssnf (normalized features), normalizer.bin and
     labels.tsv inside out_dir. Returns a summary dict.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     train_raw, train_labels, sample_rate = extract_split(manifest, "train", audio_root, mel_bins, channels)
     test_raw, test_labels, _ = extract_split(manifest, "test", audio_root, mel_bins, channels, sample_rate)
     norm = fit_normalizer(train_raw)
     train_x = apply_normalizer(train_raw, norm)
     test_x = apply_normalizer(test_raw, norm)
+    # made only now, so a failed extraction leaves no empty directory
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     storage.write_features(out_dir / TRAIN_FILE, train_x, train_labels)
     storage.write_features(out_dir / TEST_FILE, test_x, test_labels)
     storage.write_normalizer(out_dir / NORMALIZER_FILE, norm)

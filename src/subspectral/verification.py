@@ -148,7 +148,7 @@ def _case_relu(seed):
         return _weighted_loss(F.relu(a[0]), r)
 
     def grads(a):
-        return [F.relu_backward(r.astype(a[0].dtype), a[0])]
+        return [F.relu_backward(r.astype(a[0].dtype), a[0] > 0)]
 
     return _array_case("relu", seed, [x], loss, grads, masks)
 

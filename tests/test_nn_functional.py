@@ -1,5 +1,6 @@
 """Kernel-level tests against brute-force oracles."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,6 +33,78 @@ def naive_conv2d_same(x, w, b):
                                     acc += x[ni, ci, ii, jj] * w[oi, ci, ki, kj]
                     y[ni, oi, i, j] = acc + b[oi]
     return y
+
+
+def reference_maxpool2d(x, pool_h, pool_w):
+    """Window copy + argmax + take_along_axis: the row-major first-maximum
+    definition that maxpool2d's scan must match."""
+    n, c, h, w = x.shape
+    ho, wo = h // pool_h, w // pool_w
+    windows = (
+        x[:, :, : ho * pool_h, : wo * pool_w]
+        .reshape(n, c, ho, pool_h, wo, pool_w)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, ho, wo, pool_h * pool_w)
+    )
+    idx = windows.argmax(axis=-1)
+    y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    return y, idx
+
+
+def reference_maxpool2d_backward(dy, idx, x_shape, pool_h, pool_w):
+    n, c, h, w = x_shape
+    ho, wo = h // pool_h, w // pool_w
+    dwin = np.zeros((n, c, ho, wo, pool_h * pool_w), dtype=dy.dtype)
+    np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
+    dx = np.zeros(x_shape, dtype=dy.dtype)
+    dx[:, :, : ho * pool_h, : wo * pool_w] = (
+        dwin.reshape(n, c, ho, wo, pool_h, pool_w).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho * pool_h, wo * pool_w)
+    )
+    return dx
+
+
+def reference_batchnorm2d_train(x, gamma, beta, eps):
+    """Out-of-place batch norm: the formulas the in-place kernels keep."""
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
+    sumsq = np.einsum("nchw,nchw->c", x, x, dtype=np.float64)
+    var = np.maximum(sumsq / m - mean**2, 0.0)
+    inv_t = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
+    xhat = (x - mean.astype(x.dtype)[None, :, None, None]) * inv_t[None, :, None, None]
+    y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    return y.astype(x.dtype, copy=False), mean, var, (xhat, inv_t, gamma)
+
+
+def reference_batchnorm2d_backward(dy, cache):
+    xhat, inv, gamma = cache
+    m = dy.shape[0] * dy.shape[2] * dy.shape[3]
+    dgamma = np.einsum("nchw,nchw->c", dy, xhat, dtype=np.float64)
+    dbeta = dy.sum(axis=(0, 2, 3), dtype=np.float64)
+    dxhat = dy * gamma[None, :, None, None]
+    sum_dxhat = dxhat.sum(axis=(0, 2, 3), dtype=np.float64)
+    sum_dxhat_xhat = np.einsum("nchw,nchw->c", dxhat, xhat, dtype=np.float64)
+    dx = (inv[None, :, None, None] / m) * (
+        m * dxhat
+        - sum_dxhat.astype(dy.dtype)[None, :, None, None]
+        - xhat * sum_dxhat_xhat.astype(dy.dtype)[None, :, None, None]
+    )
+    return dx.astype(dy.dtype, copy=False), dgamma, dbeta
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes that numpy and Python allocated during fn)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# reduction buffers and per-channel arrays: far below one full-size array
+# at the shapes of the memory tests
+MEMORY_SLACK = 256 * 1024
 
 
 class TestConv:
@@ -97,6 +170,9 @@ class TestConvGradients:
         assert y.dtype == dx.dtype == np.float32
 
 
+POOLS = [(2, 5), (3, 5), (5, 5), (4, 10), (4, 100), (1, 1)]
+
+
 class TestMaxPool:
     def test_paper_pool_sizes(self):
         x = np.random.default_rng(0).standard_normal((1, 1, 10, 100))
@@ -129,12 +205,13 @@ class TestMaxPool:
         y, _ = F.maxpool2d(x, 1, 4)
         np.testing.assert_array_equal(y[0, 0, 0], [3.0, 7.0])
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("pool", [(2, 5), (3, 5), (5, 5), (4, 10), (4, 100), (1, 1)])
-    def test_eval_kernel_matches_argmax_bytes(self, pool, dtype):
+    @staticmethod
+    def tie_heavy_input(pool, dtype):
+        """Two windows each way plus remainder rows and columns, post-ReLU
+        zeros tying inside windows, +-inf and -0.0 among them, and a
+        last channel of all-zero windows."""
         ph, pw = pool
         rng = np.random.default_rng(ph * 1000 + pw)
-        # two windows each way plus remainder rows and columns
         x = rng.standard_normal((2, 3, 2 * ph + 1, 2 * pw + 3)).astype(dtype)
         x = np.maximum(x, 0)  # post-ReLU zeros tie inside windows
         flat = x.reshape(-1)
@@ -143,17 +220,46 @@ class TestMaxPool:
         flat[spots[:q]] = np.inf
         flat[spots[q : 2 * q]] = -np.inf
         flat[spots[2 * q :]] = -0.0  # signed zeros among the post-ReLU +0.0
-        expected, _ = F.maxpool2d(x, ph, pw)
-        y = F.maxpool2d_eval(x, ph, pw)
+        return np.concatenate([x, np.zeros_like(x[:, :1])], axis=1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_eval_kernel_matches_argmax_bytes(self, pool, dtype):
+        x = self.tie_heavy_input(pool, dtype)
+        expected, _ = reference_maxpool2d(x, *pool)
+        y = F.maxpool2d_eval(x, *pool)
         assert y.dtype == expected.dtype and y.shape == expected.shape
         assert y.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_train_kernels_match_reference_bytes(self, pool, dtype):
+        x = self.tie_heavy_input(pool, dtype)
+        expected, expected_idx = reference_maxpool2d(x, *pool)
+        y, idx = F.maxpool2d(x, *pool)
+        assert y.dtype == expected.dtype and y.tobytes() == expected.tobytes()
+        assert idx.dtype == np.min_scalar_type(pool[0] * pool[1] - 1)
+        np.testing.assert_array_equal(idx, expected_idx)
+        dy = np.random.default_rng(1).standard_normal(y.shape).astype(dtype)
+        dx = F.maxpool2d_backward(dy, idx, x.shape, *pool)
+        expected_dx = reference_maxpool2d_backward(dy, expected_idx, x.shape, *pool)
+        assert dx.dtype == expected_dx.dtype and dx.shape == x.shape
+        assert dx.tobytes() == expected_dx.tobytes()
+
+    @pytest.mark.parametrize("pool", [(2, 5), (4, 5), (4, 10)])
+    def test_backward_peaks_at_one_dx_and_its_offsets(self, pool):
+        x = np.random.default_rng(9).standard_normal((4, 8, 82, 106)).astype(np.float32)
+        y, idx = F.maxpool2d(x, *pool)
+        dx, peak = traced_peak(F.maxpool2d_backward, y, idx, x.shape, *pool)
+        assert peak <= dx.nbytes + y.size * np.dtype(np.intp).itemsize + MEMORY_SLACK
 
     @pytest.mark.parametrize("first", [-0.0, 0.0])
     def test_eval_kernel_signed_zero_tie_keeps_the_first(self, first):
         x = np.array([[first, -first], [-first, -first]]).reshape(1, 1, 2, 2)
         y = F.maxpool2d_eval(x, 2, 2)
         assert np.signbit(y[0, 0, 0, 0]) == np.signbit(first)
-        assert y.tobytes() == F.maxpool2d(x, 2, 2)[0].tobytes()
+        y_train, idx = F.maxpool2d(x, 2, 2)
+        assert y.tobytes() == y_train.tobytes() and idx[0, 0, 0, 0] == 0
 
     @pytest.mark.parametrize("kernel", [F.maxpool2d, F.maxpool2d_eval])
     @pytest.mark.parametrize("pool, match", [((4, 1), "larger"), ((1, 4), "larger"), ((0, 1), ">= 1"), ((1, 0), ">= 1")])
@@ -199,6 +305,31 @@ class TestBatchNorm:
         expected = reference(x, gamma, beta, mean, var, 1e-3)
         assert y.dtype == expected.dtype == dtype
         assert y.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_kernels_match_reference_bytes(self, dtype):
+        rng = np.random.default_rng(6)
+        x = (rng.standard_normal((4, 6, 7, 9)) * 3 + 1).astype(dtype)
+        x[:, 2] = np.maximum(x[:, 2], 0)  # a channel of post-ReLU zeros
+        gamma = rng.uniform(0.5, 1.5, 6).astype(dtype)
+        beta = rng.standard_normal(6).astype(dtype)
+        got = F.batchnorm2d_train(x, gamma, beta, 1e-3)
+        expected = reference_batchnorm2d_train(x, gamma, beta, 1e-3)
+        for a, b in zip(got[:3] + got[3][:2], expected[:3] + expected[3][:2]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        dy = rng.standard_normal(x.shape).astype(dtype)
+        for a, b in zip(F.batchnorm2d_backward(dy, got[3]), reference_batchnorm2d_backward(dy, expected[3])):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_and_backward_peak_at_two_full_size_arrays(self, dtype):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((4, 8, 82, 106)).astype(dtype)
+        gamma, beta = np.ones(8, dtype=dtype), np.zeros(8, dtype=dtype)
+        (_, _, _, cache), peak = traced_peak(F.batchnorm2d_train, x, gamma, beta, 1e-3)
+        assert peak <= 2 * x.nbytes + MEMORY_SLACK
+        _, peak = traced_peak(F.batchnorm2d_backward, rng.standard_normal(x.shape).astype(dtype), cache)
+        assert peak <= 2 * x.nbytes + MEMORY_SLACK
 
 
 class TestSoftmaxCrossEntropy:
@@ -346,22 +477,25 @@ class TestAdam:
         assert a.data[0] == 0.25 and p.data[0] == 0.5 and store.step_count == 0
 
     def test_matches_reference_formula(self):
+        # the out-of-place formula, byte for byte: adam_step works in place
+        # in the same operation order
         assert (BETA1, BETA2, EPS) == (0.9, 0.999, 1e-7)
-        rng = np.random.default_rng(8)
-        p = Parameter("w", rng.standard_normal(6))
-        store = ParamStore([p])
-        m = np.zeros(6)
-        v = np.zeros(6)
-        ref = p.data.copy()
-        for t in range(1, 8):
-            g = rng.standard_normal(6)
-            p.grad[...] = g
-            adam_step(store, lr=0.002)
-            m = BETA1 * m + (1 - BETA1) * g
-            v = BETA2 * v + (1 - BETA2) * g * g
-            ref = ref - 0.002 * (m / (1 - BETA1**t)) / (np.sqrt(v / (1 - BETA2**t)) + EPS)
-            np.testing.assert_allclose(p.data, ref, rtol=1e-12)
-            store.zero_grad()
+        for dtype in (np.float32, np.float64):
+            rng = np.random.default_rng(8)
+            p = Parameter("w", rng.standard_normal((2, 3)).astype(dtype))
+            store = ParamStore([p])
+            m, v, ref = np.zeros_like(p.data), np.zeros_like(p.data), p.data.copy()
+            for t in range(1, 8):
+                g = rng.standard_normal(p.data.shape).astype(dtype)
+                p.grad[...] = g
+                adam_step(store, lr=0.002)
+                m[...] = BETA1 * m + (1 - BETA1) * g
+                v[...] = BETA2 * v + (1 - BETA2) * g * g
+                ref[...] = ref - 0.002 * (m / (1 - BETA1**t)) / (np.sqrt(v / (1 - BETA2**t)) + EPS)
+                assert p.data.tobytes() == ref.tobytes()
+                assert store.first_moment["w"].tobytes() == m.tobytes()
+                assert store.second_moment["w"].tobytes() == v.tobytes()
+                store.zero_grad()
 
     def test_duplicate_parameter_names_rejected(self):
         a = Parameter("w", np.zeros(2))

@@ -134,7 +134,7 @@ class TestExtractPipeline:
         args = ["extract", "--manifest", str(out_dir / "manifest.tsv"), "--audio-root", str(out_dir), "--out", str(tmp_path / "feat")]
         assert main(args + ["--mel-bins", "400"]) == 1
         assert "14 of 400 mel filters at 48000 Hz cover no bin" in capsys.readouterr().err
-        assert not (tmp_path / "feat" / "train.ssnf").exists()
+        assert not (tmp_path / "feat").exists()
 
     def test_mono_channel_mode(self, fixture_dir, tmp_path):
         out_dir, manifest = fixture_dir
