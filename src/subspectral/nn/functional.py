@@ -13,31 +13,70 @@ from __future__ import annotations
 import numpy as np
 
 
+# Bytes of im2col columns that one GEMM may read. A conv whose columns
+# exceed it runs its GEMMs over slabs of whole samples (dw: groups of
+# kernel rows), so a 10 s clip's train step peaks at its activations, not
+# its columns. 24 MiB keeps the 1 s geometries' train and eval convs in one
+# GEMM each, and gives the corpus conv1 dw groups of 2 kernel rows: one
+# row per GEMM re-reads dyr 7 times and doubled that dw's time.
+COLS_BUDGET = 24 * 2**20
+
+
 def _same_padding(k: int) -> tuple[int, int]:
     # extra padding (even kernels) goes on the bottom/right
     return (k - 1) // 2, k // 2
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """'Same'-padded columns (C*Kh*Kw, N*H*W); row (c, i, j) matches w.reshape(O, -1)."""
+def _per_gemm(unit_bytes: int, units: int) -> int:
+    """How many units of unit_bytes columns one GEMM takes: all of them
+    when they fit COLS_BUDGET, else as many as fit, and at least one."""
+    return max(1, min(units, COLS_BUDGET // unit_bytes))
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, rows: range) -> np.ndarray:
+    """'Same'-padded columns (C*len(rows)*Kw, N*H*W) for the kernel rows
+    in rows; row (c, i, j) matches w[:, :, rows].reshape(O, -1)."""
     n, c, h, w = x.shape
     padded = np.pad(x, ((0, 0), (0, 0), _same_padding(kh), _same_padding(kw)))
-    cols = np.empty((c, kh, kw, n, h, w), dtype=x.dtype)
-    for i in range(kh):
+    cols = np.empty((c, len(rows), kw, n, h, w), dtype=x.dtype)
+    for r, i in enumerate(rows):
         for j in range(kw):
-            cols[:, i, j] = padded[:, :, i : i + h, j : j + w].transpose(1, 0, 2, 3)
-    return cols.reshape(c * kh * kw, n * h * w)
+            cols[:, r, j] = padded[:, :, i : i + h, j : j + w].transpose(1, 0, 2, 3)
+    return cols.reshape(-1, n * h * w)
+
+
+def _shifted(d: int, size: int) -> tuple[slice, slice]:
+    """(source, destination) slices of a length-size axis shifted by d,
+    clipped to [0, size)."""
+    return slice(max(0, -d), min(size, size - d)), slice(max(0, d), min(size, size + d))
 
 
 def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """'Same'-padded 2-D cross-correlation: (N,C,H,W) -> C-contiguous (N,O,H,W)."""
+    """'Same'-padded 2-D cross-correlation: (N,C,H,W) -> C-contiguous (N,O,H,W).
+
+    The forward is w @ cols over slabs of whole samples whose columns fit
+    COLS_BUDGET, each slab written straight into the output; when all
+    columns fit, that is one GEMM. Splitting a GEMM's N does not keep the
+    bits at every shape: with OpenBLAS 0.3.31's SkylakeX kernels, a
+    float64 (16, 32, 10, 10) input into 64 kernels, split into 13 + 3
+    samples, changed 415 of its 102,400 outputs. So chunking happens only
+    above the budget, and the slabs are proven byte-identical to one GEMM
+    at the corpus-10s conv shapes, float32 and float64
+    (tests/test_nn_functional.py::TestConvSlabs).
+    """
     n, c, h, wd = x.shape
     o, cw, kh, kw = w.shape
     if c != cw:
         raise ValueError(f"input has {c} channels but kernels expect {cw}")
-    out = w.reshape(o, -1) @ _im2col(x, kh, kw)
-    out += b[:, None]
-    return np.ascontiguousarray(out.reshape(o, n, h, wd).transpose(1, 0, 2, 3), dtype=x.dtype)
+    wm = w.reshape(o, -1)
+    out = np.empty((n, o, h, wd), dtype=x.dtype)
+    step = _per_gemm(c * kh * kw * h * wd * x.itemsize, n)
+    for s in range(0, n, step):
+        y = wm @ _im2col(x[s : s + step], kh, kw, range(kh))
+        y += b[:, None]
+        out[s : s + step] = y.reshape(o, -1, h, wd).transpose(1, 0, 2, 3)
+        del y  # before the next slab's columns
+    return out
 
 
 def conv2d_same_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, need_dx: bool = True):
@@ -45,24 +84,42 @@ def conv2d_same_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, need_dx: 
 
     With dy channel-major as dyr (O, N*H*W) and cols rebuilt from x,
     dw = (cols @ dyr.T).T, the orientation that ran fastest on one BLAS
-    thread. dx is col2im: w.T @ dyr is added back, one slice per kernel
-    offset, into a zero-padded buffer whose interior is the C-contiguous
-    dx. need_dx=False skips dx (at a first layer, where nobody reads it).
+    thread, over groups of kernel rows whose columns fit COLS_BUDGET:
+    that splits the GEMM's M and keeps its full N*H*W reduction. dx is
+    col2im: dcols = w.T @ dyr over the forward's sample slabs, each added
+    into dx one kernel offset at a time in (i, j) order, clipped to dx's
+    interior (what a zero-padded buffer would hold there). Like the
+    forward's, these splits are proven byte-identical to one GEMM only at
+    the corpus-10s conv shapes, and happen only above the budget.
+    need_dx=False skips dx (at a first layer, where nobody reads it).
     """
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
-    dyr = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(o, n * h * wd)
+    hw = h * wd
+    dyr = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(o, n * hw)
     db = dyr.sum(axis=1, dtype=np.float64).astype(w.dtype)
-    dw = (_im2col(x, kh, kw) @ dyr.T).T.reshape(w.shape).astype(w.dtype, copy=False)
+    dw = np.empty(w.shape, dtype=w.dtype)
+    group = _per_gemm(c * kw * n * hw * x.itemsize, kh)
+    for i in range(0, kh, group):
+        cols = _im2col(x, kh, kw, range(i, min(i + group, kh)))
+        dw[:, :, i : i + group] = (cols @ dyr.T).T.reshape(o, c, -1, kw)
+        del cols  # before the next group's columns
     if not need_dx:
         return None, dw, db
-    dcols = (w.reshape(o, -1).T @ dyr).reshape(c, kh, kw, n, h, wd)
-    dpad = np.zeros((n, c, h + kh - 1, wd + kw - 1), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dpad[:, :, i : i + h, j : j + wd] += dcols[:, i, j].transpose(1, 0, 2, 3)
     (pt, _), (pl, _) = _same_padding(kh), _same_padding(kw)
-    return np.ascontiguousarray(dpad[:, :, pt : pt + h, pl : pl + wd]), dw, db
+    wt = w.reshape(o, -1).T
+    dx = np.zeros(x.shape, dtype=x.dtype)
+    step = _per_gemm(c * kh * kw * hw * x.itemsize, n)
+    for s in range(0, n, step):
+        dcols = (wt @ dyr[:, s * hw : (s + step) * hw]).reshape(c, kh, kw, -1, h, wd)
+        dxs = dx[s : s + step]
+        for i in range(kh):
+            src_h, dst_h = _shifted(i - pt, h)
+            for j in range(kw):
+                src_w, dst_w = _shifted(j - pl, wd)
+                dxs[:, :, dst_h, dst_w] += dcols[:, i, j, :, src_h, src_w].transpose(1, 0, 2, 3)
+        del dcols  # before the next slab's GEMM
+    return dx, dw, db
 
 
 def _pooled_size(x_shape, pool_h: int, pool_w: int) -> tuple[int, int]:
@@ -200,7 +257,8 @@ def batchnorm2d_backward(dy: np.ndarray, cache):
     """Gradients (dx, dgamma, dbeta) for batchnorm2d_train:
     dx = (inv / m) * ((m * dxhat - sum(dxhat)) - xhat * sum(dxhat * xhat))
     with dxhat = dy * gamma, evaluated in place in the array that holds
-    dxhat; xhat times its sum is the one other full-size array."""
+    dxhat. dx is the one new full-size array: xhat times its sum is
+    written over the cached xhat, so the cache is spent by this call."""
     xhat, inv, gamma = cache
     m = dy.shape[0] * dy.shape[2] * dy.shape[3]
     dgamma = np.einsum("nchw,nchw->c", dy, xhat, dtype=np.float64)
@@ -210,7 +268,7 @@ def batchnorm2d_backward(dy: np.ndarray, cache):
     sum_dxhat_xhat = np.einsum("nchw,nchw->c", dx, xhat, dtype=np.float64)
     dx *= m
     dx -= sum_dxhat.astype(dy.dtype)[None, :, None, None]
-    dx -= np.multiply(xhat, sum_dxhat_xhat.astype(dy.dtype)[None, :, None, None])
+    dx -= np.multiply(xhat, sum_dxhat_xhat.astype(dy.dtype)[None, :, None, None], out=xhat)
     dx *= inv[None, :, None, None] / m
     return dx.astype(dy.dtype, copy=False), dgamma, dbeta
 

@@ -1,11 +1,13 @@
 """Stateful layer objects over the functional kernels.
 
-Each layer instance is used once per forward pass. Only a train-mode
-forward keeps what the matching backward call needs; an eval-mode forward
-keeps nothing and drops what an earlier train-mode forward kept, so a
-backward after it raises. Parameter gradients accumulate with += so shared
-trunks can receive contributions from several heads; call zero_grad
-between steps.
+Each layer instance is used once per forward pass. Saved state lives
+from a train-mode forward until its backward: the forward keeps what the
+matching backward needs, and the backward drops it once used, so the
+step's memory holds only what later layers still need. An eval-mode
+forward keeps nothing and drops what an earlier train-mode forward kept.
+A backward without a train-mode forward since the last backward raises.
+Parameter gradients accumulate with += so shared trunks can receive
+contributions from several heads; call zero_grad between steps.
 """
 
 from __future__ import annotations
@@ -58,11 +60,14 @@ class Layer:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _saved(self, state):
-        """state kept by the last forward; raises if that forward was not
-        in train mode."""
+    def _saved(self, attr: str):
+        """Hand over the state that the last train-mode forward kept in
+        attr and drop it: it lives until this backward. Raises if no
+        train-mode forward ran since the last backward or eval forward."""
+        state = getattr(self, attr)
         if state is None:
             raise RuntimeError(f"{self.name}: backward without a train-mode forward")
+        setattr(self, attr, None)
         return state
 
     def spec(self) -> dict:
@@ -95,7 +100,7 @@ class Conv2dSame(Layer):
         return F.conv2d_same(x, self.weight.data, self.bias.data)
 
     def backward(self, dy, input_grad=True):
-        dx, dw, db = F.conv2d_same_backward(dy, self._saved(self._x), self.weight.data, need_dx=input_grad)
+        dx, dw, db = F.conv2d_same_backward(dy, self._saved("_x"), self.weight.data, need_dx=input_grad)
         self.weight.grad += dw
         self.bias.grad += db
         return dx
@@ -158,7 +163,7 @@ class BatchNorm2d(Layer):
         return F.batchnorm2d_eval(x, self.gamma.data, self.beta.data, self.running_mean, self.running_var, self.eps)
 
     def backward(self, dy):
-        dx, dgamma, dbeta = F.batchnorm2d_backward(dy, self._saved(self._cache))
+        dx, dgamma, dbeta = F.batchnorm2d_backward(dy, self._saved("_cache"))
         self.gamma.grad += dgamma.astype(self.gamma.data.dtype)
         self.beta.grad += dbeta.astype(self.beta.data.dtype)
         return dx
@@ -179,7 +184,7 @@ class ReLU(Layer):
         return F.relu(x)
 
     def backward(self, dy):
-        return F.relu_backward(dy, self._saved(self._mask))
+        return F.relu_backward(dy, self._saved("_mask"))
 
 
 class MaxPool2d(Layer):
@@ -188,19 +193,19 @@ class MaxPool2d(Layer):
     def __init__(self, pool_h, pool_w, name=""):
         super().__init__(name)
         self.pool = (pool_h, pool_w)
-        self._idx = None
-        self._in_shape = None
+        self._idx = None  # (idx, input shape) after a train-mode forward
 
     def forward(self, x, train):
         if not train:
-            self._idx = self._in_shape = None
+            self._idx = None
             return F.maxpool2d_eval(x, *self.pool)
-        self._in_shape = x.shape
-        y, self._idx = F.maxpool2d(x, *self.pool)
+        y, idx = F.maxpool2d(x, *self.pool)
+        self._idx = (idx, x.shape)
         return y
 
     def backward(self, dy):
-        return F.maxpool2d_backward(dy, self._saved(self._idx), self._in_shape, *self.pool)
+        idx, in_shape = self._saved("_idx")
+        return F.maxpool2d_backward(dy, idx, in_shape, *self.pool)
 
     def spec(self):
         return {"kind": self.kind, "name": self.name, "pool": list(self.pool)}
@@ -223,7 +228,7 @@ class Dropout(Layer):
         return y
 
     def backward(self, dy):
-        (mask,) = self._saved(self._mask)
+        (mask,) = self._saved("_mask")
         return F.dropout_backward(dy, mask, self.rate)
 
     def spec(self):
@@ -242,7 +247,7 @@ class Flatten(Layer):
         return F.flatten(x)
 
     def backward(self, dy):
-        return dy.reshape(self._saved(self._in_shape))
+        return dy.reshape(self._saved("_in_shape"))
 
 
 class Dense(Layer):
@@ -264,7 +269,7 @@ class Dense(Layer):
         return F.dense(x, self.weight.data, self.bias.data)
 
     def backward(self, dy):
-        dx, dw, db = F.dense_backward(dy, self._saved(self._x), self.weight.data)
+        dx, dw, db = F.dense_backward(dy, self._saved("_x"), self.weight.data)
         self.weight.grad += dw
         self.bias.grad += db
         return dx

@@ -348,6 +348,23 @@ class TestEvalModeState:
         with pytest.raises(RuntimeError, match=f"{layer.name}: backward without a train-mode forward"):
             layer.backward(np.zeros(1, dtype=np.float32))
 
+    @pytest.mark.parametrize("kind", ["baseline", "subspectralnet"])
+    def test_backward_drops_what_the_forward_kept(self, rng, kind):
+        graph = build_model(model_description(kind, 40, 50, 2), seed=0)
+        graph.set_dropout_rng(np.random.default_rng(0))
+        x = rng.standard_normal((2, 2, 40, 50)).astype(np.float32)
+        _, dlogits = multi_head_loss(graph.forward(x, train=True), np.array([0, 3]))
+        graph.backward(dlogits)
+        layers = [layer for seq in graph.trunks + graph.sub_heads + [graph.global_head] for layer in seq.layers]
+        saved = {f"{layer.name}.{key}": value for layer in layers for key, value in vars(layer).items() if key.startswith("_")}
+        assert len(saved) == len(layers)
+        assert [name for name, value in saved.items() if value is not None] == []
+        with pytest.raises(RuntimeError, match="backward without a train-mode forward"):
+            graph.backward(dlogits)
+        for layer in layers:
+            with pytest.raises(RuntimeError, match=f"{layer.name}: backward without a train-mode forward"):
+                layer.backward(np.zeros(1, dtype=np.float32))
+
 
 class TestCheckpointRoundTrip:
     def test_bit_exact_params_and_buffers(self, tmp_path, rng):

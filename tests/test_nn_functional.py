@@ -35,6 +35,43 @@ def naive_conv2d_same(x, w, b):
     return y
 
 
+def reference_im2col(x, kh, kw):
+    """All 'same'-padded columns (C*Kh*Kw, N*H*W) at once."""
+    n, c, h, w = x.shape
+    padded = np.pad(x, ((0, 0), (0, 0), ((kh - 1) // 2, kh // 2), ((kw - 1) // 2, kw // 2)))
+    cols = np.empty((c, kh, kw, n, h, w), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = padded[:, :, i : i + h, j : j + w].transpose(1, 0, 2, 3)
+    return cols.reshape(c * kh * kw, n * h * w)
+
+
+def reference_conv2d_same(x, w, b):
+    """One GEMM over every column: the bytes the slab kernels must keep."""
+    n, _, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    out = w.reshape(o, -1) @ reference_im2col(x, kh, kw)
+    out += b[:, None]
+    return np.ascontiguousarray(out.reshape(o, n, h, wd).transpose(1, 0, 2, 3), dtype=x.dtype)
+
+
+def reference_conv2d_same_backward(dy, x, w):
+    """dw from one GEMM, and dcols for all samples added into a zero-padded
+    buffer one kernel offset at a time."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    dyr = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(o, n * h * wd)
+    db = dyr.sum(axis=1, dtype=np.float64).astype(w.dtype)
+    dw = (reference_im2col(x, kh, kw) @ dyr.T).T.reshape(w.shape).astype(w.dtype, copy=False)
+    dcols = (w.reshape(o, -1).T @ dyr).reshape(c, kh, kw, n, h, wd)
+    dpad = np.zeros((n, c, h + kh - 1, wd + kw - 1), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dpad[:, :, i : i + h, j : j + wd] += dcols[:, i, j].transpose(1, 0, 2, 3)
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
+    return np.ascontiguousarray(dpad[:, :, pt : pt + h, pl : pl + wd]), dw, db
+
+
 def reference_maxpool2d(x, pool_h, pool_w):
     """Window copy + argmax + take_along_axis: the row-major first-maximum
     definition that maxpool2d's scan must match."""
@@ -168,6 +205,65 @@ class TestConvGradients:
         dx, _, _ = F.conv2d_same_backward(np.ones_like(y), x, w)
         assert y.flags.c_contiguous and dx.flags.c_contiguous
         assert y.dtype == dx.dtype == np.float32
+
+
+class TestConvSlabs:
+    """The slab kernels against one-GEMM copies of the same math."""
+
+    # corpus-10s conv1 and conv2 (10 s clips, 40 mel, doubled-width
+    # baseline): the train shapes whose columns exceed COLS_BUDGET
+    CORPUS = [((10, 2, 40, 500), 64), ((10, 64, 8, 100), 128)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, kernels", CORPUS, ids=["conv1", "conv2"])
+    def test_corpus_shapes_match_one_gemm_bytes(self, shape, kernels, dtype):
+        rng = np.random.default_rng(shape[1])
+        x = rng.standard_normal(shape).astype(dtype)
+        x[:, :, ::3] = np.maximum(x[:, :, ::3], 0)  # post-ReLU zeros
+        w = (rng.standard_normal((kernels, shape[1], 7, 7)) * 0.1).astype(dtype)
+        b = rng.standard_normal(kernels).astype(dtype)
+        assert x.size * 49 * x.itemsize > F.COLS_BUDGET  # the slab path runs
+        y = F.conv2d_same(x, w, b)
+        expected = reference_conv2d_same(x, w, b)
+        assert y.dtype == expected.dtype and y.flags.c_contiguous and y.tobytes() == expected.tobytes()
+        dy = rng.standard_normal(y.shape).astype(dtype)
+        expected = reference_conv2d_same_backward(dy, x, w)
+        for need_dx in (True, False):
+            dx, dw, db = F.conv2d_same_backward(dy, x, w, need_dx=need_dx)
+            assert (dx is None) != need_dx
+            got = (dx, dw, db) if need_dx else (dw, db)
+            for a, e in zip(got, expected if need_dx else expected[1:]):
+                assert a.dtype == e.dtype and a.shape == e.shape and a.tobytes() == e.tobytes()
+
+    # small shapes under a budget of two samples' columns: slabs of 2, 2
+    # and 1 samples, groups of 2, 2, 2 and 1 kernel rows
+    X, KERNELS = (5, 4, 16, 40), 8
+
+    def small_case(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(self.X).astype(np.float32)
+        w = rng.standard_normal((self.KERNELS, self.X[1], 7, 7)).astype(np.float32)
+        b = np.zeros(self.KERNELS, dtype=np.float32)
+        sample_cols = self.X[1] * 49 * self.X[2] * self.X[3] * x.itemsize
+        monkeypatch.setattr(F, "COLS_BUDGET", 2 * sample_cols)
+        return x, w, b
+
+    def test_forward_peak_is_one_slab(self, monkeypatch):
+        x, w, b = self.small_case(monkeypatch)
+        y, peak = traced_peak(F.conv2d_same, x, w, b)
+        out_slab = 2 * y[0].nbytes
+        assert peak <= y.nbytes + F.COLS_BUDGET + out_slab + MEMORY_SLACK
+        np.testing.assert_allclose(y, reference_conv2d_same(x, w, b), rtol=1e-5, atol=1e-4)
+
+    @pytest.mark.parametrize("need_dx", [True, False])
+    def test_backward_peak_is_one_slab_and_dyr(self, monkeypatch, need_dx):
+        x, w, b = self.small_case(monkeypatch)
+        dy = np.random.default_rng(12).standard_normal((self.X[0], self.KERNELS) + self.X[2:]).astype(np.float32)
+        (dx, dw, _), peak = traced_peak(F.conv2d_same_backward, dy, x, w, need_dx)
+        assert peak <= (dx.nbytes if need_dx else 0) + dw.nbytes + dy.nbytes + F.COLS_BUDGET + MEMORY_SLACK
+        expected = reference_conv2d_same_backward(dy, x, w)
+        for a, e in zip((dx, dw) if need_dx else (dw,), expected[:2] if need_dx else expected[1:2]):
+            np.testing.assert_allclose(a, e, rtol=1e-5, atol=1e-4)
 
 
 POOLS = [(2, 5), (3, 5), (5, 5), (4, 10), (4, 100), (1, 1)]
