@@ -319,10 +319,12 @@ def model_description(
     return {key: values[key] for key in keys}
 
 
-def build_model(desc: dict, seed: int = 0, dtype=np.float32) -> ModelGraph:
+def build_model(desc: dict, seed: int | None = 0, dtype=np.float32) -> ModelGraph:
     """Build the untrained graph a model description (model_description,
     or the "model" object of a checkpoint header) describes; seed keys
-    the weight init. Raises KeyError for a missing description key.
+    the weight init, and seed None leaves every weight unset (np.empty)
+    for a caller that loads them all next. Raises KeyError for a missing
+    description key.
 
     The baseline CNN is the one-band graph: a trunk over all mel bins
     ending after a 100-unit dense block, with width_multiplier scaling
@@ -337,7 +339,7 @@ def build_model(desc: dict, seed: int = 0, dtype=np.float32) -> ModelGraph:
     kind = desc["kind"]
     desc = {key: desc[key] for key in _description_keys(kind)}
     n_classes, channels, frames, mel_bins = desc["n_classes"], desc["channels"], desc["frames"], desc["mel_bins"]
-    rng = philox_rng(seed, STREAM_INIT)
+    rng = None if seed is None else philox_rng(seed, STREAM_INIT)
     block = dict(time_pool=desc["time_pool"], dropout=desc["dropout"], rng=rng, dtype=dtype)
 
     def dense(d_in, d_out, name):
@@ -369,10 +371,11 @@ def build_model(desc: dict, seed: int = 0, dtype=np.float32) -> ModelGraph:
 
 def load_model(path, dtype=np.float32) -> tuple[ModelGraph, dict]:
     """Rebuild a graph from a checkpoint and load its tensors. Returns
-    (graph, meta)."""
+    (graph, meta). The graph is built with its weights unset: load_state
+    raises unless the file holds every tensor, each with its shape."""
     desc, tensors, meta = storage.read_checkpoint(path)
     try:
-        graph = build_model(desc, dtype=dtype)
+        graph = build_model(desc, seed=None, dtype=dtype)
     except KeyError as exc:
         raise storage.ContainerError(f"{path}: model description has no {exc} entry") from exc
     except (TypeError, ValueError) as exc:

@@ -6,6 +6,12 @@ caller's storage dtype (float32 by default, float64 when the graph is
 built that way); statistical reductions -- batch statistics, bias sums,
 softmax normalization, losses -- always accumulate in float64.
 Convolution is cross-correlation (no kernel flip).
+
+The elementwise kernels (batch norm, ReLU, dropout) take numpy's out=:
+the result is written into out, which may be the kernel's own input x or
+dy; without it they return a new array and leave their inputs as they
+are. Every float operation runs in the same order either way, so out=
+changes no bits.
 """
 
 from __future__ import annotations
@@ -223,47 +229,52 @@ def _channel_moments(x: np.ndarray):
     return mean, var
 
 
-def batchnorm2d_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
+def batchnorm2d_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float, out=None):
     """Per-channel batch normalization using (biased) batch statistics.
 
     Returns (y, batch_mean, batch_var, cache) where cache feeds backward.
     xhat = (x - mean) * inv and y = gamma * xhat + beta are two full-size
-    arrays, each computed in place after its first operation.
+    arrays, each computed in place after its first operation. xhat is
+    complete before y is written, so out=x is safe: y goes over x and
+    xhat is the one new array.
     """
     mean, var = _channel_moments(x)
     inv = 1.0 / np.sqrt(var + eps)
     inv_t = inv.astype(x.dtype)
     xhat = np.subtract(x, mean.astype(x.dtype)[None, :, None, None])
     xhat *= inv_t[None, :, None, None]
-    y = np.multiply(gamma[None, :, None, None], xhat)
+    y = np.multiply(gamma[None, :, None, None], xhat, out=out)
     y += beta[None, :, None, None]
     cache = (xhat, inv_t, gamma)
     return y.astype(x.dtype, copy=False), mean, var, cache
 
 
-def batchnorm2d_eval(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, mean: np.ndarray, var: np.ndarray, eps: float) -> np.ndarray:
+def batchnorm2d_eval(
+    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, mean: np.ndarray, var: np.ndarray, eps: float, out=None
+) -> np.ndarray:
     """gamma * (x - mean) / sqrt(var + eps) + beta with the given
-    statistics, in x's dtype: one output array, then scaled and shifted
-    in place."""
+    statistics, in x's dtype: one output array (out, which may be x),
+    then scaled and shifted in place."""
     inv = (1.0 / np.sqrt(var.astype(np.float64) + eps)).astype(x.dtype)
-    y = np.subtract(x, mean.astype(x.dtype)[None, :, None, None])
+    y = np.subtract(x, mean.astype(x.dtype)[None, :, None, None], out=out)
     y *= inv[None, :, None, None]
     y *= gamma[None, :, None, None]
     y += beta[None, :, None, None]
     return y
 
 
-def batchnorm2d_backward(dy: np.ndarray, cache):
+def batchnorm2d_backward(dy: np.ndarray, cache, out=None):
     """Gradients (dx, dgamma, dbeta) for batchnorm2d_train:
     dx = (inv / m) * ((m * dxhat - sum(dxhat)) - xhat * sum(dxhat * xhat))
     with dxhat = dy * gamma, evaluated in place in the array that holds
-    dxhat. dx is the one new full-size array: xhat times its sum is
-    written over the cached xhat, so the cache is spent by this call."""
+    dxhat (out, which may be dy: dgamma and dbeta are read from dy
+    first). xhat times its sum is written over the cached xhat, so the
+    cache is spent by this call."""
     xhat, inv, gamma = cache
     m = dy.shape[0] * dy.shape[2] * dy.shape[3]
     dgamma = np.einsum("nchw,nchw->c", dy, xhat, dtype=np.float64)
     dbeta = dy.sum(axis=(0, 2, 3), dtype=np.float64)
-    dx = np.multiply(dy, gamma[None, :, None, None])
+    dx = np.multiply(dy, gamma[None, :, None, None], out=out)
     sum_dxhat = dx.sum(axis=(0, 2, 3), dtype=np.float64)
     sum_dxhat_xhat = np.einsum("nchw,nchw->c", dx, xhat, dtype=np.float64)
     dx *= m
@@ -273,13 +284,13 @@ def batchnorm2d_backward(dy: np.ndarray, cache):
     return dx.astype(dy.dtype, copy=False), dgamma, dbeta
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, out=None) -> np.ndarray:
+    return np.maximum(x, 0, out=out)
 
 
-def relu_backward(dy: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def relu_backward(dy: np.ndarray, mask: np.ndarray, out=None) -> np.ndarray:
     """dy where the forward input was positive; mask is that input > 0."""
-    return dy * mask
+    return np.multiply(dy, mask, out=out)
 
 
 def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -305,22 +316,28 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     return rng.random(shape) >= rate
 
 
-def dropout(x: np.ndarray, rate: float, train: bool, rng: np.random.Generator):
-    """Inverted dropout; identity at rate 0 or in eval mode."""
+def _scaled_by_mask(a: np.ndarray, mask: np.ndarray, rate: float, out) -> np.ndarray:
+    """(a * mask) * (1 / (1 - rate)), the second product in place."""
+    y = np.multiply(a, mask, out=out)
+    y *= np.asarray(1.0 / (1.0 - rate), dtype=a.dtype)
+    return y
+
+
+def dropout(x: np.ndarray, rate: float, train: bool, rng: np.random.Generator, out=None):
+    """Inverted dropout; identity at rate 0 or in eval mode, which returns
+    x itself (so there out may only be x or None)."""
     if not 0 <= rate < 1:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x, None
     mask = dropout_mask(x.shape, rate, rng)
-    scale = np.asarray(1.0 / (1.0 - rate), dtype=x.dtype)
-    return x * mask * scale, mask
+    return _scaled_by_mask(x, mask, rate, out), mask
 
 
-def dropout_backward(dy: np.ndarray, mask, rate: float) -> np.ndarray:
+def dropout_backward(dy: np.ndarray, mask, rate: float, out=None) -> np.ndarray:
     if mask is None:
         return dy
-    scale = np.asarray(1.0 / (1.0 - rate), dtype=dy.dtype)
-    return dy * mask * scale
+    return _scaled_by_mask(dy, mask, rate, out)
 
 
 def flatten(x: np.ndarray) -> np.ndarray:

@@ -8,6 +8,16 @@ forward keeps nothing and drops what an earlier train-mode forward kept.
 A backward without a train-mode forward since the last backward raises.
 Parameter gradients accumulate with += so shared trunks can receive
 contributions from several heads; call zero_grad between steps.
+
+Ownership: forward and backward take a keyword owned (default False).
+A layer handed owned=True may write its result over the array it was
+handed; batch norm, ReLU and dropout do, so a train step holds one
+full-size activation fewer at each of them. A Sequential owns every
+array one of its own layers made in the current pass: the caller's input
+(going forward) or dy (going back) is never owned, and a layer's result
+is owned unless it shares memory with the layer's input (Flatten's view,
+Dropout in eval or at rate 0), in which case it is owned exactly when
+that input was. A layer used on its own leaves its input as it is.
 """
 
 from __future__ import annotations
@@ -40,6 +50,14 @@ def glorot_uniform(shape, fan_in: int, fan_out: int, rng: np.random.Generator, d
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
+def _init_weight(shape, fan_in: int, fan_out: int, rng: np.random.Generator | None, dtype) -> np.ndarray:
+    """glorot_uniform draws from rng; with rng None the weight is left
+    unset (np.empty), for a caller that loads every weight next."""
+    if rng is None:
+        return np.empty(shape, dtype=dtype)
+    return glorot_uniform(shape, fan_in, fan_out, rng, dtype)
+
+
 class Layer:
     kind = "layer"
 
@@ -54,10 +72,10 @@ class Layer:
         are the live ones, so writing into them sets the layer's state."""
         return []
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, *, owned: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, *, owned: bool = False) -> np.ndarray:
         raise NotImplementedError
 
     def _saved(self, attr: str):
@@ -85,7 +103,7 @@ class Conv2dSame(Layer):
         fan_in = in_channels * kernel_h * kernel_w
         fan_out = out_channels * kernel_h * kernel_w
         self.weight = Parameter(
-            f"{name}.weight", glorot_uniform((out_channels, in_channels, kernel_h, kernel_w), fan_in, fan_out, rng, dtype)
+            f"{name}.weight", _init_weight((out_channels, in_channels, kernel_h, kernel_w), fan_in, fan_out, rng, dtype)
         )
         self.bias = Parameter(f"{name}.bias", np.zeros(out_channels, dtype=dtype))
         self._x = None
@@ -93,13 +111,13 @@ class Conv2dSame(Layer):
     def params(self):
         return [self.weight, self.bias]
 
-    def forward(self, x, train):
+    def forward(self, x, train, *, owned=False):
         if x.shape[1] != self.in_channels:
             raise ValueError(f"{self.name}: got {x.shape[1]} channels, expected {self.in_channels}")
         self._x = x if train else None
         return F.conv2d_same(x, self.weight.data, self.bias.data)
 
-    def backward(self, dy, input_grad=True):
+    def backward(self, dy, input_grad=True, *, owned=False):
         dx, dw, db = F.conv2d_same_backward(dy, self._saved("_x"), self.weight.data, need_dx=input_grad)
         self.weight.grad += dw
         self.bias.grad += db
@@ -147,11 +165,12 @@ class BatchNorm2d(Layer):
             (f"{self.name}.batches_seen", self.batches_seen),
         ]
 
-    def forward(self, x, train):
+    def forward(self, x, train, *, owned=False):
         if x.shape[1] != self.channels:
             raise ValueError(f"{self.name}: got {x.shape[1]} channels, expected {self.channels}")
+        out = x if owned else None
         if train:
-            y, mean, var, self._cache = F.batchnorm2d_train(x, self.gamma.data, self.beta.data, self.eps)
+            y, mean, var, self._cache = F.batchnorm2d_train(x, self.gamma.data, self.beta.data, self.eps, out=out)
             # float64 blend, rounded to the storage dtype on assignment
             self.running_mean[...] = self.momentum * self.running_mean.astype(np.float64) + (1 - self.momentum) * mean
             self.running_var[...] = self.momentum * self.running_var.astype(np.float64) + (1 - self.momentum) * var
@@ -160,10 +179,10 @@ class BatchNorm2d(Layer):
         if not self.batches_seen[0]:
             raise RuntimeError(f"{self.name}: eval before any training batch; running stats uninitialized")
         self._cache = None
-        return F.batchnorm2d_eval(x, self.gamma.data, self.beta.data, self.running_mean, self.running_var, self.eps)
+        return F.batchnorm2d_eval(x, self.gamma.data, self.beta.data, self.running_mean, self.running_var, self.eps, out=out)
 
-    def backward(self, dy):
-        dx, dgamma, dbeta = F.batchnorm2d_backward(dy, self._saved("_cache"))
+    def backward(self, dy, *, owned=False):
+        dx, dgamma, dbeta = F.batchnorm2d_backward(dy, self._saved("_cache"), out=dy if owned else None)
         self.gamma.grad += dgamma.astype(self.gamma.data.dtype)
         self.beta.grad += dbeta.astype(self.beta.data.dtype)
         return dx
@@ -179,12 +198,12 @@ class ReLU(Layer):
         super().__init__(name)
         self._mask = None
 
-    def forward(self, x, train):
+    def forward(self, x, train, *, owned=False):
         self._mask = x > 0 if train else None
-        return F.relu(x)
+        return F.relu(x, out=x if owned else None)
 
-    def backward(self, dy):
-        return F.relu_backward(dy, self._saved("_mask"))
+    def backward(self, dy, *, owned=False):
+        return F.relu_backward(dy, self._saved("_mask"), out=dy if owned else None)
 
 
 class MaxPool2d(Layer):
@@ -195,7 +214,7 @@ class MaxPool2d(Layer):
         self.pool = (pool_h, pool_w)
         self._idx = None  # (idx, input shape) after a train-mode forward
 
-    def forward(self, x, train):
+    def forward(self, x, train, *, owned=False):
         if not train:
             self._idx = None
             return F.maxpool2d_eval(x, *self.pool)
@@ -203,7 +222,7 @@ class MaxPool2d(Layer):
         self._idx = (idx, x.shape)
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, *, owned=False):
         idx, in_shape = self._saved("_idx")
         return F.maxpool2d_backward(dy, idx, in_shape, *self.pool)
 
@@ -220,16 +239,16 @@ class Dropout(Layer):
         self.rng: np.random.Generator | None = None
         self._mask = None  # (mask,) after a train-mode forward; mask is None at rate 0
 
-    def forward(self, x, train):
+    def forward(self, x, train, *, owned=False):
         if train and self.rate > 0 and self.rng is None:
             raise RuntimeError(f"{self.name}: dropout needs an rng in train mode")
-        y, mask = F.dropout(x, self.rate, train, self.rng)
+        y, mask = F.dropout(x, self.rate, train, self.rng, out=x if owned else None)
         self._mask = (mask,) if train else None
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, *, owned=False):
         (mask,) = self._saved("_mask")
-        return F.dropout_backward(dy, mask, self.rate)
+        return F.dropout_backward(dy, mask, self.rate, out=dy if owned else None)
 
     def spec(self):
         return {"kind": self.kind, "name": self.name, "rate": self.rate}
@@ -242,11 +261,11 @@ class Flatten(Layer):
         super().__init__(name)
         self._in_shape = None
 
-    def forward(self, x, train):
+    def forward(self, x, train, *, owned=False):
         self._in_shape = x.shape if train else None
         return F.flatten(x)
 
-    def backward(self, dy):
+    def backward(self, dy, *, owned=False):
         return dy.reshape(self._saved("_in_shape"))
 
 
@@ -257,18 +276,18 @@ class Dense(Layer):
         super().__init__(name)
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Parameter(f"{name}.weight", glorot_uniform((in_features, out_features), in_features, out_features, rng, dtype))
+        self.weight = Parameter(f"{name}.weight", _init_weight((in_features, out_features), in_features, out_features, rng, dtype))
         self.bias = Parameter(f"{name}.bias", np.zeros(out_features, dtype=dtype))
         self._x = None
 
     def params(self):
         return [self.weight, self.bias]
 
-    def forward(self, x, train):
+    def forward(self, x, train, *, owned=False):
         self._x = x if train else None
         return F.dense(x, self.weight.data, self.bias.data)
 
-    def backward(self, dy):
+    def backward(self, dy, *, owned=False):
         dx, dw, db = F.dense_backward(dy, self._saved("_x"), self.weight.data)
         self.weight.grad += dw
         self.bias.grad += db
@@ -279,23 +298,29 @@ class Dense(Layer):
 
 
 class Sequential:
-    """Plain layer pipeline; backward runs in reverse order."""
+    """Plain layer pipeline; backward runs in reverse order. It tells each
+    layer whether it owns the array it is handed (see the module
+    docstring); the caller's x and dy are never written over."""
 
     def __init__(self, layers: list[Layer]):
         self.layers = layers
 
     def forward(self, x, train: bool):
+        owned = False
         for layer in self.layers:
-            x = layer.forward(x, train)
+            y = layer.forward(x, train, owned=owned)
+            owned, x = owned or not np.may_share_memory(y, x), y
         return x
 
     def backward(self, dy, input_grad=True):
         """input_grad=False skips the input gradient at a leading conv
         layer (trunks during training, where nobody reads that dx)."""
+        owned = False
         for i, layer in enumerate(reversed(self.layers)):
             if i == len(self.layers) - 1 and isinstance(layer, Conv2dSame):
                 return layer.backward(dy, input_grad=input_grad)
-            dy = layer.backward(dy)
+            dx = layer.backward(dy, owned=owned)
+            owned, dy = owned or not np.may_share_memory(dx, dy), dx
         return dy
 
     def params(self) -> list[Parameter]:

@@ -188,6 +188,8 @@ def read_checkpoint(path) -> tuple[dict, dict, dict]:
         valid_shape = isinstance(shape, list) and all(isinstance(d, int) and d >= 0 for d in shape)
         if not (valid_shape and isinstance(entry.get("name"), str)):
             raise ContainerError(f"{path}: malformed tensor entry {entry!r}")
+        if entry["name"] in tensors:
+            raise ContainerError(f"{path}: tensor {entry['name']!r} is listed twice")
         count = math.prod(shape)  # exact: np.prod wraps in int64
         if pos + count * 4 > len(blob):
             raise ContainerError(f"{path}: tensor {entry['name']!r} runs past the end of the file")

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from subspectral import models
 from subspectral.models import (
     build_model,
     count_params,
@@ -15,6 +16,7 @@ from subspectral.models import (
     multi_head_loss,
 )
 from subspectral.nn import functional as F
+from subspectral.nn import layers
 from subspectral.nn.optim import adam_step
 from subspectral.storage import ContainerError, read_checkpoint, write_checkpoint
 from subspectral.training import predict_probs
@@ -366,6 +368,24 @@ class TestEvalModeState:
                 layer.backward(np.zeros(1, dtype=np.float32))
 
 
+class TestOwnership:
+    @pytest.mark.parametrize("kind", ["baseline", "subspectralnet"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_graph_leaves_the_callers_x_and_dlogits(self, rng, kind, dropout):
+        graph = build_model(model_description(kind, 40, 50, 2, dropout=dropout), seed=0)
+        graph.set_dropout_rng(np.random.default_rng(0))
+        x = rng.standard_normal((4, 2, 40, 50)).astype(np.float32)
+        x0 = x.copy()
+        _, dlogits = multi_head_loss(graph.forward(x, train=True), np.array([0, 3, 5, 9]))
+        assert x.tobytes() == x0.tobytes()
+        handed = {name: d.copy() for name, d in dlogits.items()}
+        graph.backward(dlogits)
+        for name, d in dlogits.items():
+            assert d.tobytes() == handed[name].tobytes(), name
+        graph.forward(x, train=False)
+        assert x.tobytes() == x0.tobytes()
+
+
 class TestCheckpointRoundTrip:
     def test_bit_exact_params_and_buffers(self, tmp_path, rng):
         desc = model_description("subspectralnet", 40, 50, 2, time_pool=10, class_names=[f"c{i}" for i in range(10)])
@@ -443,6 +463,39 @@ class TestCheckpointRoundTrip:
         write_checkpoint(path, desc, [(n, "param", v) for n, v in tensors.items()])
         with pytest.raises(ContainerError, match=re.escape(name)):
             load_model(path)
+
+    def test_checkpoint_listing_a_tensor_twice_is_rejected(self, tmp_path):
+        graph = build_model(model_description("baseline", 40, 50, 2, time_pool=10), seed=3)
+        path = tmp_path / "model.ssnw"
+        graph.save(path)
+        desc, tensors, _ = read_checkpoint(path)
+        name = "base.conv1.weight"
+        entries = [(n, "param", v) for n, v in tensors.items()]
+        write_checkpoint(path, desc, entries + [(name, "param", np.full_like(tensors[name], 7.0))])
+        for reader in (read_checkpoint, load_model):
+            with pytest.raises(ContainerError, match=re.escape(f"tensor {name!r} is listed twice")):
+                reader(path)
+
+    def test_load_model_makes_no_init_draws(self, tmp_path, rng, monkeypatch):
+        graph = build_model(model_description("subspectralnet", 40, 50, 2, time_pool=10), seed=4)
+        graph.set_dropout_rng(np.random.default_rng(0))
+        x = rng.standard_normal((4, 2, 40, 50)).astype(np.float32)
+        graph.forward(x, train=True)
+        path = tmp_path / "model.ssnw"
+        graph.save(path)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("load_model drew an init")
+
+        monkeypatch.setattr(layers, "glorot_uniform", no_init)
+        monkeypatch.setattr(models, "philox_rng", no_init)
+        loaded, _ = load_model(path)
+        state = loaded.state()
+        for name, value in graph.state().items():
+            assert state[name].tobytes() == value.tobytes(), name
+        expected = predict_probs(graph, x)
+        for name, probs in predict_probs(loaded, x).items():
+            assert probs.tobytes() == expected[name].tobytes(), name
 
     def test_header_listing_softmax_layers_loads_and_predicts_the_same(self, tmp_path, rng):
         # checkpoints written while every head ended in a softmax layer

@@ -8,7 +8,7 @@ import pytest
 
 from subspectral.nn import functional as F
 from subspectral.nn.gradcheck import grad_check
-from subspectral.nn.layers import Dense, Parameter
+from subspectral.nn.layers import BatchNorm2d, Conv2dSame, Dense, Dropout, Flatten, MaxPool2d, Parameter, ReLU, Sequential
 from subspectral.nn.optim import BETA1, BETA2, EPS, ParamStore, adam_step
 from subspectral.seeding import philox_rng
 
@@ -612,3 +612,177 @@ class TestDenseLayer:
         layer = Dense(4, 3, rng=philox_rng(0, 1), name="d")
         with pytest.raises(ValueError, match="width"):
             layer.forward(np.zeros((2, 5), dtype=np.float32), train=True)
+
+
+def _stack(dtype, seed, dropout=0.3, pool=(2, 5)):
+    """conv -> BN -> ReLU -> pool -> dropout -> flatten -> dense -> ReLU ->
+    dropout over (N, 2, 8, 10) inputs, as a conv trunk is built."""
+    rng = philox_rng(seed, 1)
+    flat = 4 * (8 // pool[0]) * (10 // pool[1])
+    seq = Sequential(
+        [
+            Conv2dSame(2, 4, 3, 3, rng=rng, dtype=dtype, name="conv"),
+            BatchNorm2d(4, dtype=dtype, name="bn"),
+            ReLU(name="relu1"),
+            MaxPool2d(*pool, name="pool"),
+            Dropout(dropout, name="drop1"),
+            Flatten(name="flatten"),
+            Dense(flat, 6, rng=rng, dtype=dtype, name="dense"),
+            ReLU(name="relu2"),
+            Dropout(dropout, name="drop2"),
+        ]
+    )
+    for layer in seq.layers:
+        if isinstance(layer, Dropout):
+            layer.rng = philox_rng(seed, 2)
+    return seq
+
+
+def _kernel_calls(dtype):
+    """(name, kernel, args) for every kernel, called without out= on small inputs."""
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((2, 3, 8, 10)).astype(dtype)
+    dy = rng.standard_normal(x.shape).astype(dtype)
+    w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+    gamma, beta, mean = (rng.standard_normal(3).astype(dtype) for _ in range(3))
+    var = rng.uniform(0.5, 2.0, 3).astype(dtype)
+    _, _, _, cache = F.batchnorm2d_train(x.copy(), gamma, beta, 1e-3)
+    _, idx = F.maxpool2d(x, 2, 5)
+    dpool = rng.standard_normal((2, 3, 4, 2)).astype(dtype)
+    z = rng.standard_normal((2, 5)).astype(dtype)
+    wd, bd = rng.standard_normal((5, 4)).astype(dtype), rng.standard_normal(4).astype(dtype)
+    dz = rng.standard_normal((2, 4)).astype(dtype)
+    return [
+        ("conv2d_same", F.conv2d_same, (x, w, bd)),
+        ("conv2d_same_backward", F.conv2d_same_backward, (rng.standard_normal((2, 4, 8, 10)).astype(dtype), x, w)),
+        ("maxpool2d", F.maxpool2d, (x, 2, 5)),
+        ("maxpool2d_eval", F.maxpool2d_eval, (x, 2, 5)),
+        ("maxpool2d_backward", F.maxpool2d_backward, (dpool, idx, x.shape, 2, 5)),
+        ("batchnorm2d_train", F.batchnorm2d_train, (x, gamma, beta, 1e-3)),
+        ("batchnorm2d_eval", F.batchnorm2d_eval, (x, gamma, beta, mean, var, 1e-3)),
+        ("batchnorm2d_backward", F.batchnorm2d_backward, (dy, cache)),  # spends the cache, by design
+        ("relu", F.relu, (x,)),
+        ("relu_backward", F.relu_backward, (dy, x > 0)),
+        ("dropout", F.dropout, (x, 0.3, True, np.random.default_rng(0))),
+        ("dropout_backward", F.dropout_backward, (dy, rng.random(x.shape) >= 0.3, 0.3)),
+        ("flatten", F.flatten, (x,)),
+        ("dense", F.dense, (z, wd, bd)),
+        ("dense_backward", F.dense_backward, (dz, z, wd)),
+        ("softmax", F.softmax, (z,)),
+        ("softmax_cross_entropy", F.softmax_cross_entropy, (z, np.array([1, 3]))),
+    ]
+
+
+class TestOwnership:
+    """Layers write over what they are handed only when told they own it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kernels_without_out_leave_their_inputs(self, dtype):
+        changed = []
+        for name, kernel, args in _kernel_calls(dtype):
+            before = [a.copy() for a in args if isinstance(a, np.ndarray)]
+            kernel(*args)
+            after = [a for a in args if isinstance(a, np.ndarray)]
+            if any(a.tobytes() != b.tobytes() for a, b in zip(after, before)):
+                changed.append(name)
+        assert changed == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layers_on_their_own_leave_x_and_dy(self, dtype):
+        rng = np.random.default_rng(22)
+        for layer in _stack(dtype, seed=3).layers:
+            shape = (3, layer.in_features) if layer.kind == "dense" else (3, 2, 8, 10) if layer.kind == "conv2d" else (3, 4, 8, 10)
+            x = rng.standard_normal(shape).astype(dtype)
+            x0 = x.copy()
+            y = layer.forward(x, True)
+            dy = rng.standard_normal(y.shape).astype(dtype)
+            dy0 = dy.copy()
+            layer.backward(dy)
+            layer.forward(x, False)
+            assert x.tobytes() == x0.tobytes(), layer.name
+            assert dy.tobytes() == dy0.tobytes(), layer.name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["batchnorm", "relu", "dropout"])
+    def test_owned_path_gives_the_unowned_bytes_in_place(self, kind, dtype):
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((3, 4, 8, 10)).astype(dtype)
+        x[:, 1] = np.maximum(x[:, 1], 0)  # a channel of post-ReLU zeros
+        dy = rng.standard_normal(x.shape).astype(dtype)
+        ref, own = (next(layer for layer in _stack(dtype, seed=4).layers if layer.kind == kind) for _ in range(2))
+        for train in (True, False):
+            expected = ref.forward(x.copy(), train)
+            handed = x.copy()
+            got = own.forward(handed, train, owned=True)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            assert np.shares_memory(got, handed)
+            if train:
+                expected = ref.backward(dy.copy())
+                handed = dy.copy()
+                got = own.backward(handed, owned=True)
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+                assert np.shares_memory(got, handed)
+        for (name, a), (_, b) in zip(ref.buffers() + [(p.name, p.grad) for p in ref.params()], own.buffers() + [(p.name, p.grad) for p in own.params()]):
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_sequential_gives_the_layer_by_layer_bytes(self, dropout, dtype):
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((3, 2, 8, 10)).astype(dtype)
+        x0 = x.copy()
+        seq, ref = _stack(dtype, 5, dropout), _stack(dtype, 5, dropout)
+        for train in (True, False):
+            h = x
+            for layer in ref.layers:
+                h = layer.forward(h, train)
+            y = seq.forward(x, train)
+            assert y.tobytes() == h.tobytes()
+        # a train pass again, then backward through both
+        h = x
+        for layer in ref.layers:
+            h = layer.forward(h, True)
+        seq.forward(x, True)
+        dy = rng.standard_normal(h.shape).astype(dtype)
+        dy0 = dy.copy()
+        d = dy
+        for layer in reversed(ref.layers):
+            d = layer.backward(d)
+        assert seq.backward(dy).tobytes() == d.tobytes()
+        assert x.tobytes() == x0.tobytes() and dy.tobytes() == dy0.tobytes()
+        for a, b in zip(ref.params() + ref.buffers(), seq.params() + seq.buffers()):
+            a, b = (a.grad, b.grad) if isinstance(a, Parameter) else (a[1], b[1])
+            assert a.tobytes() == b.tobytes()
+
+    def test_conv_bn_relu_pool_train_step_peak(self):
+        # Fixed before measuring. With ownership, a train step holds at
+        # most two activations (batch norm's xhat, and the conv output
+        # that batch norm and ReLU write over), ReLU's bool mask and the
+        # max-pool's scan arrays; the parent held a third activation at
+        # ReLU, forward and backward. A 1-channel 3x3 conv keeps the
+        # im2col columns below that third activation.
+        n, c, h, w, o, pool = 4, 1, 40, 100, 32, (2, 10)
+        rng = philox_rng(6, 1)
+        seq = Sequential(
+            [
+                Conv2dSame(c, o, 3, 3, rng=rng, name="conv"),
+                BatchNorm2d(o, name="bn"),
+                ReLU(name="relu"),
+                MaxPool2d(*pool, name="pool"),
+            ]
+        )
+        x = np.random.default_rng(25).standard_normal((n, c, h, w)).astype(np.float32)
+        dy = np.random.default_rng(26).standard_normal((n, o, h // pool[0], w // pool[1])).astype(np.float32)
+
+        def step():
+            seq.forward(x, True)
+            return seq.backward(dy)
+
+        _, peak = traced_peak(step)
+        act = n * o * h * w * 4
+        mask = act // 4
+        # the scan's window maxima (float32) and its uint8 offsets, flags
+        # and candidates over the column pass, then the pooled output and
+        # its offsets
+        scan = act // pool[1] * (1 + 3 / 4) + act // (pool[0] * pool[1]) * (1 + 1 / 4)
+        assert peak <= 2 * act + mask + scan + MEMORY_SLACK
