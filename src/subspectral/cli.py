@@ -135,8 +135,14 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _require_samples(path, features: np.ndarray) -> None:
+    if features.shape[0] == 0:
+        raise storage.ContainerError(f"{path}: holds no samples")
+
+
 def cmd_evaluate(args) -> int:
     data = pipeline.load_feature_dir(args.features)
+    _require_samples(Path(args.features) / pipeline.TEST_FILE, data["test_x"])
     graph, _meta = load_model(args.checkpoint)
     storage.check_labels(Path(args.features) / pipeline.TEST_FILE, data["test_y"], graph.desc["n_classes"], args.checkpoint)
     names = graph.desc.get("class_names")
@@ -156,6 +162,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     features, labels = storage.read_features(args.features)
+    _require_samples(args.features, features)
     graph, _meta = load_model(args.checkpoint)
     storage.check_labels(args.features, labels, graph.desc["n_classes"], args.checkpoint)
     head_probs = predict_probs(graph, features)

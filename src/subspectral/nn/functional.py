@@ -16,16 +16,24 @@ changes no bits.
 
 from __future__ import annotations
 
+import math
+import threading
+
 import numpy as np
 
 
-# Bytes of im2col columns that one GEMM may read. A conv whose columns
-# exceed it runs its GEMMs over slabs of whole samples (dw: groups of
-# kernel rows), so a 10 s clip's train step peaks at its activations, not
-# its columns. 24 MiB keeps the 1 s geometries' train and eval convs in one
-# GEMM each, and gives the corpus conv1 dw groups of 2 kernel rows: one
-# row per GEMM re-reads dyr 7 times and doubled that dw's time.
+# Bytes of im2col columns live at one time, summed over the threads that
+# run a conv. A conv whose columns exceed it runs its GEMMs over slabs of
+# whole samples (dw: groups of kernel rows) of at most COLS_BUDGET //
+# WORKERS bytes each, as many at once as fit the budget together, so a
+# 10 s clip's train step peaks at its activations, not its columns, and
+# both cores work on it. 24 MiB keeps the 1 s geometries' train and eval
+# convs in one GEMM each on the calling thread: there, threads over short
+# GEMMs lost more to GIL hand-offs than they won.
 COLS_BUDGET = 24 * 2**20
+# Threads that share COLS_BUDGET: the calling thread and WORKERS - 1
+# helpers, each started for one batch of slabs and joined before the next.
+WORKERS = 2
 
 
 def _same_padding(k: int) -> tuple[int, int]:
@@ -33,22 +41,93 @@ def _same_padding(k: int) -> tuple[int, int]:
     return (k - 1) // 2, k // 2
 
 
-def _per_gemm(unit_bytes: int, units: int) -> int:
-    """How many units of unit_bytes columns one GEMM takes: all of them
-    when they fit COLS_BUDGET, else as many as fit, and at least one."""
-    return max(1, min(units, COLS_BUDGET // unit_bytes))
+def _padded_shape(x_shape, kh: int, kw: int) -> tuple:
+    n, c, h, w = x_shape
+    return n, c, h + kh - 1, w + kw - 1
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, rows: range) -> np.ndarray:
-    """'Same'-padded columns (C*len(rows)*Kw, N*H*W) for the kernel rows
-    in rows; row (c, i, j) matches w[:, :, rows].reshape(O, -1)."""
-    n, c, h, w = x.shape
-    padded = np.pad(x, ((0, 0), (0, 0), _same_padding(kh), _same_padding(kw)))
-    cols = np.empty((c, len(rows), kw, n, h, w), dtype=x.dtype)
-    for r, i in enumerate(rows):
-        for j in range(kw):
-            cols[:, r, j] = padded[:, :, i : i + h, j : j + w].transpose(1, 0, 2, 3)
-    return cols.reshape(-1, n * h * w)
+def _pad(x: np.ndarray, kh: int, kw: int, out: np.ndarray) -> None:
+    """Write x, zero-padded for a 'same' output, into out (_padded_shape)."""
+    (pt, _), (pl, _) = _same_padding(kh), _same_padding(kw)
+    out.fill(0)
+    out[:, :, pt : pt + x.shape[2], pl : pl + x.shape[3]] = x
+
+
+def _im2col(padded: np.ndarray, kh: int, kw: int, rows: range, out: np.ndarray) -> None:
+    """Write the 'same'-padded columns (C*len(rows)*Kw, N*H*W) of the
+    kernel rows in rows into the C-contiguous out, in one copy (one
+    release of the GIL); padded is x as _pad writes it, and row (c, i, j)
+    of out matches w[:, :, rows].reshape(O, -1)."""
+    n, c, hp, wp = padded.shape
+    h, w = hp - kh + 1, wp - kw + 1
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(2, 3))  # (N, C, Kh, Kw, H, W)
+    cols = out.reshape(c, len(rows), kw, n, h, w)  # a view: out is contiguous
+    np.copyto(cols, windows[:, :, rows.start : rows.stop].transpose(1, 2, 3, 0, 4, 5))
+
+
+def _slabwise(units: int, unit_bytes: int, job, buffer_shapes) -> None:
+    """Call job(lo, hi, *buffers) over slabs [lo, hi) that cover
+    range(units), where each unit has unit_bytes of columns and
+    buffer_shapes(lo, hi) lists the (shape, dtype) of each C-contiguous
+    buffer that job fills for its slab.
+
+    When all the columns fit COLS_BUDGET, that is one call on the calling
+    thread. Otherwise slabs hold at most COLS_BUDGET // WORKERS bytes (at
+    least one unit), and as many run at once as fit the budget together
+    (at least one): the calling thread runs the first slab of each batch
+    and one helper thread each of the others (_run_at_once).
+
+    The calling thread allocates one block that holds the buffers of one
+    batch and hands out views of it, batch after batch. One block rather
+    than an array per buffer keeps the other stages' heap use as it was
+    with budget-sized slabs: glibc raises its mmap threshold to the
+    largest mmapped block freed, and arrays below it are reused from the
+    heap instead of being mapped and faulted in afresh on every call.
+    """
+    if units * unit_bytes <= COLS_BUDGET:
+        per, together = units, 1
+    else:
+        per = max(1, COLS_BUDGET // WORKERS // unit_bytes)
+        together = max(1, min(WORKERS, COLS_BUDGET // (per * unit_bytes)))
+    slabs = [(lo, min(lo + per, units)) for lo in range(0, units, per)]
+    batches = [slabs[k : k + together] for k in range(0, len(slabs), together)]
+
+    def nbytes(shape, dtype) -> int:  # rounded up to whole cache lines
+        return -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
+
+    block = np.empty(sum(nbytes(*b) for lo, hi in batches[0] for b in buffer_shapes(lo, hi)), dtype=np.uint8)
+    for batch in batches:
+        arglists, offset = [], 0
+        for lo, hi in batch:
+            buffers = []
+            for shape, dtype in buffer_shapes(lo, hi):
+                buffers.append(block[offset:].view(dtype)[: math.prod(shape)].reshape(shape))
+                offset += nbytes(shape, dtype)
+            arglists.append((lo, hi, *buffers))
+        _run_at_once(job, arglists)
+
+
+def _run_at_once(job, arglists) -> None:
+    """job(*args) for each args at once: the first on the calling thread,
+    each other on a helper thread, all finished before this returns."""
+    errors = []
+
+    def guarded(*args):
+        try:
+            job(*args)
+        except BaseException as exc:
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=guarded, args=args) for args in arglists[1:]]
+    for t in helpers:
+        t.start()
+    try:
+        job(*arglists[0])
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[0]
 
 
 def _shifted(d: int, size: int) -> tuple[slice, slice]:
@@ -60,15 +139,16 @@ def _shifted(d: int, size: int) -> tuple[slice, slice]:
 def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """'Same'-padded 2-D cross-correlation: (N,C,H,W) -> C-contiguous (N,O,H,W).
 
-    The forward is w @ cols over slabs of whole samples whose columns fit
-    COLS_BUDGET, each slab written straight into the output; when all
-    columns fit, that is one GEMM. Splitting a GEMM's N does not keep the
-    bits at every shape: with OpenBLAS 0.3.31's SkylakeX kernels, a
-    float64 (16, 32, 10, 10) input into 64 kernels, split into 13 + 3
-    samples, changed 415 of its 102,400 outputs. So chunking happens only
-    above the budget, and the slabs are proven byte-identical to one GEMM
-    at the corpus-10s conv shapes, float32 and float64
-    (tests/test_nn_functional.py::TestConvSlabs).
+    The forward is w @ cols over the sample slabs of _slabwise, each slab
+    its own GEMM written straight into its own slice of the output, so
+    the bits do not depend on which thread runs it; when all columns fit
+    COLS_BUDGET, that is one GEMM on the calling thread. Splitting a
+    GEMM's N does not keep the bits at every shape: with OpenBLAS
+    0.3.31's SkylakeX kernels, a float64 (16, 32, 10, 10) input into 64
+    kernels, split into 13 + 3 samples, changed 415 of its 102,400
+    outputs. So chunking happens only above the budget, and the slabs are
+    proven byte-identical to one GEMM at the corpus-10s conv shapes,
+    float32 and float64 (tests/test_nn_functional.py::TestConvSlabs).
     """
     n, c, h, wd = x.shape
     o, cw, kh, kw = w.shape
@@ -76,12 +156,20 @@ def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"input has {c} channels but kernels expect {cw}")
     wm = w.reshape(o, -1)
     out = np.empty((n, o, h, wd), dtype=x.dtype)
-    step = _per_gemm(c * kh * kw * h * wd * x.itemsize, n)
-    for s in range(0, n, step):
-        y = wm @ _im2col(x[s : s + step], kh, kw, range(kh))
+    gemm_dtype = np.result_type(w, x)
+
+    def slab(lo, hi, padded, cols, y):
+        _pad(x[lo:hi], kh, kw, padded)
+        _im2col(padded, kh, kw, range(kh), cols)
+        np.matmul(wm, cols, out=y)
         y += b[:, None]
-        out[s : s + step] = y.reshape(o, -1, h, wd).transpose(1, 0, 2, 3)
-        del y  # before the next slab's columns
+        out[lo:hi] = y.reshape(o, hi - lo, h, wd).transpose(1, 0, 2, 3)
+
+    def buffers(lo, hi):
+        m = (hi - lo) * h * wd
+        return (_padded_shape(x[lo:hi].shape, kh, kw), x.dtype), ((c * kh * kw, m), x.dtype), ((o, m), gemm_dtype)
+
+    _slabwise(n, c * kh * kw * h * wd * x.itemsize, slab, buffers)
     return out
 
 
@@ -90,14 +178,16 @@ def conv2d_same_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, need_dx: 
 
     With dy channel-major as dyr (O, N*H*W) and cols rebuilt from x,
     dw = (cols @ dyr.T).T, the orientation that ran fastest on one BLAS
-    thread, over groups of kernel rows whose columns fit COLS_BUDGET:
-    that splits the GEMM's M and keeps its full N*H*W reduction. dx is
-    col2im: dcols = w.T @ dyr over the forward's sample slabs, each added
-    into dx one kernel offset at a time in (i, j) order, clipped to dx's
-    interior (what a zero-padded buffer would hold there). Like the
-    forward's, these splits are proven byte-identical to one GEMM only at
-    the corpus-10s conv shapes, and happen only above the budget.
-    need_dx=False skips dx (at a first layer, where nobody reads it).
+    thread, over _slabwise's groups of kernel rows: that splits the
+    GEMM's M and keeps its full N*H*W reduction. dx is col2im:
+    dcols = w.T @ dyr over _slabwise's sample slabs, each added into its
+    own slice of dx one kernel offset at a time in (i, j) order, clipped
+    to dx's interior (what a zero-padded buffer would hold there). Each
+    group and slab is its own GEMM writing its own slice, so the bits do
+    not depend on the thread that runs it. Like the forward's, these
+    splits are proven byte-identical to one GEMM only at the corpus-10s
+    conv shapes, and happen only above the budget. need_dx=False skips
+    dx (at a first layer, where nobody reads it).
     """
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
@@ -105,26 +195,40 @@ def conv2d_same_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, need_dx: 
     dyr = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(o, n * hw)
     db = dyr.sum(axis=1, dtype=np.float64).astype(w.dtype)
     dw = np.empty(w.shape, dtype=w.dtype)
-    group = _per_gemm(c * kw * n * hw * x.itemsize, kh)
-    for i in range(0, kh, group):
-        cols = _im2col(x, kh, kw, range(i, min(i + group, kh)))
-        dw[:, :, i : i + group] = (cols @ dyr.T).T.reshape(o, c, -1, kw)
-        del cols  # before the next group's columns
+    padded = np.empty(_padded_shape(x.shape, kh, kw), dtype=x.dtype)
+    _pad(x, kh, kw, padded)
+
+    def rows(lo, hi, cols, dwt):
+        _im2col(padded, kh, kw, range(lo, hi), cols)
+        np.matmul(cols, dyr.T, out=dwt)
+        dw[:, :, lo:hi] = dwt.T.reshape(o, c, hi - lo, kw)
+
+    def row_buffers(lo, hi):
+        k = c * (hi - lo) * kw
+        return ((k, n * hw), x.dtype), ((k, o), np.result_type(x, dy))
+
+    _slabwise(kh, c * kw * n * hw * x.itemsize, rows, row_buffers)
+    del padded
     if not need_dx:
         return None, dw, db
     (pt, _), (pl, _) = _same_padding(kh), _same_padding(kw)
     wt = w.reshape(o, -1).T
     dx = np.zeros(x.shape, dtype=x.dtype)
-    step = _per_gemm(c * kh * kw * hw * x.itemsize, n)
-    for s in range(0, n, step):
-        dcols = (wt @ dyr[:, s * hw : (s + step) * hw]).reshape(c, kh, kw, -1, h, wd)
-        dxs = dx[s : s + step]
+
+    def slab(lo, hi, dcols):
+        np.matmul(wt, dyr[:, lo * hw : hi * hw], out=dcols)
+        d = dcols.reshape(c, kh, kw, hi - lo, h, wd)
+        dxs = dx[lo:hi]
         for i in range(kh):
             src_h, dst_h = _shifted(i - pt, h)
             for j in range(kw):
                 src_w, dst_w = _shifted(j - pl, wd)
-                dxs[:, :, dst_h, dst_w] += dcols[:, i, j, :, src_h, src_w].transpose(1, 0, 2, 3)
-        del dcols  # before the next slab's GEMM
+                dxs[:, :, dst_h, dst_w] += d[:, i, j, :, src_h, src_w].transpose(1, 0, 2, 3)
+
+    def slab_buffers(lo, hi):
+        return (((c * kh * kw, (hi - lo) * hw), np.result_type(w, dy)),)
+
+    _slabwise(n, c * kh * kw * hw * x.itemsize, slab, slab_buffers)
     return dx, dw, db
 
 

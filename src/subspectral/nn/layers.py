@@ -192,38 +192,57 @@ class BatchNorm2d(Layer):
 
 
 class ReLU(Layer):
+    """max(x, 0). When a Sequential feeds it straight into a MaxPool2d
+    (pooled=True), the pool applies its mask (see MaxPool2d): the ReLU
+    keeps none and its backward hands dy on unchanged."""
+
     kind = "relu"
 
     def __init__(self, name=""):
         super().__init__(name)
-        self._mask = None
+        self.pooled = False
+        self._mask = None  # after a train-mode forward: x > 0, or True when pooled
 
     def forward(self, x, train, *, owned=False):
-        self._mask = x > 0 if train else None
+        self._mask = (True if self.pooled else x > 0) if train else None
         return F.relu(x, out=x if owned else None)
 
     def backward(self, dy, *, owned=False):
-        return F.relu_backward(dy, self._saved("_mask"), out=dy if owned else None)
+        mask = self._saved("_mask")
+        if mask is True:
+            return dy
+        return F.relu_backward(dy, mask, out=dy if owned else None)
 
 
 class MaxPool2d(Layer):
+    """Non-overlapping max pool. When a Sequential feeds it straight from a
+    ReLU (after_relu=True), it keeps that ReLU's mask at its winners, the
+    pooled y > 0, and multiplies dy by it before the scatter: a winner
+    passed the ReLU exactly when its pooled value is positive, and every
+    other input gets a zero either way, so the bits (signed zeros
+    included) are those of the ReLU's full-size mask, at 1/(pool_h *
+    pool_w) of its size."""
+
     kind = "maxpool"
 
     def __init__(self, pool_h, pool_w, name=""):
         super().__init__(name)
         self.pool = (pool_h, pool_w)
-        self._idx = None  # (idx, input shape) after a train-mode forward
+        self.after_relu = False
+        self._idx = None  # (idx, input shape, y > 0 or None) after a train-mode forward
 
     def forward(self, x, train, *, owned=False):
         if not train:
             self._idx = None
             return F.maxpool2d_eval(x, *self.pool)
         y, idx = F.maxpool2d(x, *self.pool)
-        self._idx = (idx, x.shape)
+        self._idx = (idx, x.shape, y > 0 if self.after_relu else None)
         return y
 
     def backward(self, dy, *, owned=False):
-        idx, in_shape = self._saved("_idx")
+        idx, in_shape, mask = self._saved("_idx")
+        if mask is not None:
+            dy = F.relu_backward(dy, mask, out=dy if owned else None)
         return F.maxpool2d_backward(dy, idx, in_shape, *self.pool)
 
     def spec(self):
@@ -300,10 +319,14 @@ class Dense(Layer):
 class Sequential:
     """Plain layer pipeline; backward runs in reverse order. It tells each
     layer whether it owns the array it is handed (see the module
-    docstring); the caller's x and dy are never written over."""
+    docstring); the caller's x and dy are never written over. A ReLU
+    followed by a MaxPool2d hands its mask to the pool (see MaxPool2d)."""
 
     def __init__(self, layers: list[Layer]):
         self.layers = layers
+        for a, b in zip(layers, layers[1:]):
+            if isinstance(a, ReLU) and isinstance(b, MaxPool2d):
+                a.pooled = b.after_relu = True
 
     def forward(self, x, train: bool):
         owned = False

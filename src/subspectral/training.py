@@ -130,7 +130,9 @@ def train_model(
     every head is evaluated on the test set; each run keeps the state and
     test report of its best global-head epoch. The returned graph holds
     the best run's best state, and final_report is that epoch's report.
-    Training is bit-reproducible for a fixed seed in single-threaded mode.
+    Training is bit-reproducible for a fixed seed at one BLAS thread; the
+    conv workers of nn.functional keep the bits whichever thread runs a
+    slab.
     """
     if train_x.shape[0] == 0 or test_x.shape[0] == 0:
         raise ValueError("both train and test splits must be non-empty")

@@ -1,5 +1,6 @@
 """Kernel-level tests against brute-force oracles."""
 
+import threading
 import tracemalloc
 import warnings
 
@@ -235,8 +236,8 @@ class TestConvSlabs:
             for a, e in zip(got, expected if need_dx else expected[1:]):
                 assert a.dtype == e.dtype and a.shape == e.shape and a.tobytes() == e.tobytes()
 
-    # small shapes under a budget of two samples' columns: slabs of 2, 2
-    # and 1 samples, groups of 2, 2, 2 and 1 kernel rows
+    # small shapes under a budget of two samples' columns: slabs of one
+    # sample and groups of one kernel row, two at a time
     X, KERNELS = (5, 4, 16, 40), 8
 
     def small_case(self, monkeypatch):
@@ -264,6 +265,121 @@ class TestConvSlabs:
         expected = reference_conv2d_same_backward(dy, x, w)
         for a, e in zip((dx, dw) if need_dx else (dw,), expected[:2] if need_dx else expected[1:2]):
             np.testing.assert_allclose(a, e, rtol=1e-5, atol=1e-4)
+
+    def small_grads(self, x, w):
+        """conv2d_same and conv2d_same_backward (need_dx both ways) at x."""
+        y = F.conv2d_same(x, w, np.zeros(self.KERNELS, dtype=x.dtype))
+        dy = np.random.default_rng(13).standard_normal(y.shape).astype(x.dtype)
+        dx, dw, db = F.conv2d_same_backward(dy, x, w)
+        none, dw_only, db_only = F.conv2d_same_backward(dy, x, w, need_dx=False)
+        assert none is None
+        return [y, dx, dw, db, dw_only, db_only]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_helper_threads_keep_the_bytes_of_the_same_slabs_inline(self, monkeypatch, dtype):
+        x, w, _ = (a.astype(dtype) for a in self.small_case(monkeypatch))
+        monkeypatch.setattr(F, "COLS_BUDGET", 2 * self.X[1] * 49 * self.X[2] * self.X[3] * x.itemsize)
+        started = _thread_starts(monkeypatch)
+        threaded = self.small_grads(x, w)
+        assert started
+        monkeypatch.setattr(F.threading, "Thread", _InlineThread)
+        for a, e in zip(self.small_grads(x, w), threaded):
+            assert a.dtype == e.dtype and a.shape == e.shape and a.tobytes() == e.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, kernels", CORPUS, ids=["conv1", "conv2"])
+    def test_corpus_shapes_give_the_same_bytes_with_one_and_two_workers(self, monkeypatch, shape, kernels, dtype):
+        # WORKERS sets the slab and group sizes, so this compares GEMM
+        # splits too: at the small case's 8 kernels, 1-row and 2-row dw
+        # groups give different dw bits, so the comparison runs at the
+        # shapes that split at the real budget
+        rng = np.random.default_rng(shape[1] + 1)
+        x = rng.standard_normal(shape).astype(dtype)
+        w = (rng.standard_normal((kernels, shape[1], 7, 7)) * 0.1).astype(dtype)
+        b = rng.standard_normal(kernels).astype(dtype)
+        dy = rng.standard_normal((shape[0], kernels) + shape[2:]).astype(dtype)
+        got = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(F, "WORKERS", workers)
+            got[workers] = [F.conv2d_same(x, w, b), *F.conv2d_same_backward(dy, x, w)]
+        for a, e in zip(got[2], got[1]):
+            assert a.dtype == e.dtype and a.tobytes() == e.tobytes()
+
+    def test_buffers_are_allocated_by_the_calling_thread(self, monkeypatch):
+        x, w, _ = self.small_case(monkeypatch)
+        allocating, im2col_threads = set(), set()
+        real_empty, real_im2col = np.empty, F._im2col
+
+        def empty(*args, **kwargs):
+            allocating.add(threading.get_ident())
+            return real_empty(*args, **kwargs)
+
+        def im2col(*args):
+            im2col_threads.add(threading.get_ident())
+            real_im2col(*args)
+
+        monkeypatch.setattr(np, "empty", empty)
+        monkeypatch.setattr(F, "_im2col", im2col)
+        self.small_grads(x, w)
+        assert allocating == {threading.get_ident()}
+        assert len(im2col_threads) > 1  # helpers built columns
+
+    @pytest.mark.parametrize("fails", ["second call", "a helper's call"])
+    @pytest.mark.parametrize("kernel", ["forward", "backward"])
+    def test_slab_exception_propagates_and_joins_the_helpers(self, monkeypatch, kernel, fails):
+        x, w, b = self.small_case(monkeypatch)
+        dy = np.ones((self.X[0], self.KERNELS) + self.X[2:], dtype=np.float32)
+        real, calls, lock = F._im2col, [], threading.Lock()
+
+        def im2col(*args):
+            with lock:
+                calls.append(threading.current_thread())
+                failing = len(calls) == 2 if fails == "second call" else calls[-1] is not threading.main_thread()
+            if failing:
+                raise RuntimeError("slab failed")
+            real(*args)
+
+        monkeypatch.setattr(F, "_im2col", im2col)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="slab failed"):
+            F.conv2d_same(x, w, b) if kernel == "forward" else F.conv2d_same_backward(dy, x, w)
+        assert threading.active_count() == before
+
+    def test_conv_within_the_budget_starts_no_thread(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        # desk-40's largest conv: its 30-clip eval conv2, 17.9 MiB of columns
+        x = rng.standard_normal((30, 32, 10, 10)).astype(np.float32)
+        w = rng.standard_normal((64, 32, 7, 7)).astype(np.float32)
+        assert x.size * 49 * x.itemsize <= F.COLS_BUDGET
+        started = _thread_starts(monkeypatch)
+        y = F.conv2d_same(x, w, np.zeros(64, dtype=np.float32))
+        F.conv2d_same_backward(np.ones_like(y), x, w)
+        assert started == []
+
+
+class _InlineThread:
+    """threading.Thread's start and join, running the target on start."""
+
+    def __init__(self, target, args):
+        self.target, self.args = target, args
+
+    def start(self):
+        self.target(*self.args)
+
+    def join(self):
+        pass
+
+
+def _thread_starts(monkeypatch) -> list:
+    """Records every thread started from now until the test ends."""
+    started, real = [], threading.Thread.start
+
+    def start(self):
+        started.append(self)
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
 
 
 POOLS = [(2, 5), (3, 5), (5, 5), (4, 10), (4, 100), (1, 1)]
@@ -786,3 +902,51 @@ class TestOwnership:
         # its offsets
         scan = act // pool[1] * (1 + 3 / 4) + act // (pool[0] * pool[1]) * (1 + 1 / 4)
         assert peak <= 2 * act + mask + scan + MEMORY_SLACK
+
+
+class TestPooledReluMask:
+    """A ReLU that feeds a max-pool leaves its mask to the pool."""
+
+    def test_pooled_relu_keeps_no_full_size_mask(self):
+        seq = _stack(np.float32, seed=7)
+        relu1, pool, relu2 = (next(layer for layer in seq.layers if layer.name == name) for name in ("relu1", "pool", "relu2"))
+        assert relu1.pooled and pool.after_relu and not relu2.pooled
+        x = np.random.default_rng(27).standard_normal((3, 2, 8, 10)).astype(np.float32)
+        y = seq.forward(x, True)
+        assert relu1._mask is True
+        idx, _, mask = pool._idx
+        assert mask.dtype == bool and mask.shape == idx.shape == (3, 4, 4, 2)
+        # the ReLU after the dense layer has no pool after it
+        assert relu2._mask.dtype == bool and relu2._mask.shape == (3, 6)
+        seq.backward(np.ones_like(y))
+        for layer in (relu1, pool):
+            with pytest.raises(RuntimeError, match=f"{layer.name}: backward without a train-mode forward"):
+                layer.backward(np.ones((3, 4, 4, 2), dtype=np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pool", [(2, 5), (1, 1)])
+    def test_pooled_mask_gives_the_full_mask_bytes(self, pool, dtype):
+        # inputs with +-0 and negative windows, gradients with +-0 and
+        # both signs: each winner's dy is multiplied by the same bool
+        rng = np.random.default_rng(28)
+        x = rng.standard_normal((3, 4, 8, 10)).astype(dtype)
+        x[:, 0] = -np.abs(x[:, 0])
+        x[:, 1, ::2] = 0.0
+        x[:, 1, 1::2] = -0.0
+        dy = rng.standard_normal((3, 4, 8 // pool[0], 10 // pool[1])).astype(dtype)
+        dy[:, :, 0] = -0.0
+        fused = Sequential([ReLU(name="relu"), MaxPool2d(*pool, name="pool"), Dropout(0.3, name="drop")])
+        plain = [ReLU(name="relu"), MaxPool2d(*pool, name="pool"), Dropout(0.3, name="drop")]
+        fused.layers[2].rng, plain[2].rng = philox_rng(8, 2), philox_rng(8, 2)
+        assert not plain[0].pooled
+        h = x
+        for layer in plain:
+            h = layer.forward(h, True)
+        assert fused.forward(x, True).tobytes() == h.tobytes()
+        d = dy
+        for layer in reversed(plain):
+            d = layer.backward(d)
+        dy0 = dy.copy()
+        got = fused.backward(dy)
+        assert got.dtype == d.dtype and got.tobytes() == d.tobytes()
+        assert dy.tobytes() == dy0.tobytes()

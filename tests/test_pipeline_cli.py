@@ -294,6 +294,25 @@ class TestCli:
         source = "labels.tsv" if command != "predict" and classes == 3 else ckpt
         assert f"{bad / 'test.ssnf'}: label 7 is out of range for the 3 classes of {source}" in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_feature_file_without_samples_exits_1(self, cli_dirs, tmp_path, capsys, command):
+        _, feat, run = cli_dirs
+        empty = tmp_path / "feat"
+        empty.mkdir()
+        for name in ("train.ssnf", "normalizer.bin", "labels.tsv"):
+            (empty / name).write_bytes((feat / name).read_bytes())
+        x, y = read_features(feat / "test.ssnf")
+        write_features(empty / "test.ssnf", x[:0], y[:0])
+        ckpt = str(run / "model.ssnw")
+        out = tmp_path / "out"
+        argv = {
+            "evaluate": ["evaluate", "--checkpoint", ckpt, "--features", str(empty), "--out", str(out)],
+            "predict": ["predict", "--checkpoint", ckpt, "--features", str(empty / "test.ssnf"), "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        assert f"error: {empty / 'test.ssnf'}: holds no samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_error_exit_code_and_stderr(self, tmp_path, capsys):
         code = main(["extract", "--manifest", str(tmp_path / "missing.tsv"), "--audio-root", ".", "--out", str(tmp_path / "o")])
         assert code == 1
