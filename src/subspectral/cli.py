@@ -113,7 +113,7 @@ def cmd_train(args) -> int:
     cfg = _train_config(args)
     result = train_model(data["train_x"], data["train_y"], data["test_x"], data["test_y"], cfg, data["class_names"])
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _write_report(out, result.final_report, data["class_names"])
     checkpoint = out / "model.ssnw"
     best = result.histories[result.best_run]
     result.graph.save(
@@ -125,9 +125,6 @@ def cmd_train(args) -> int:
             "average_best": result.average_best,
         },
     )
-    write_report_tsv(out / "report.tsv", result.final_report)
-    for name, matrix in result.final_report.confusion.items():
-        write_confusion_tsv(out / f"confusion_{name}.tsv", matrix, data["class_names"])
     for history in result.histories:
         write_curves_tsv(out / f"curves_seed{history.run_seed}.tsv", history)
     print(f"average-best global accuracy over {cfg.repeats} run(s): {result.average_best:.6g}")
@@ -135,46 +132,48 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _require_samples(path, features: np.ndarray) -> None:
-    if features.shape[0] == 0:
-        raise storage.ContainerError(f"{path}: holds no samples")
-
-
-def cmd_evaluate(args) -> int:
-    data = pipeline.load_feature_dir(args.features)
-    _require_samples(Path(args.features) / pipeline.TEST_FILE, data["test_x"])
-    graph, _meta = load_model(args.checkpoint)
-    storage.check_labels(Path(args.features) / pipeline.TEST_FILE, data["test_y"], graph.desc["n_classes"], args.checkpoint)
-    names = graph.desc.get("class_names")
-    if names and names != data["class_names"]:
-        labels_path = Path(args.features) / pipeline.LABELS_FILE
-        raise storage.ContainerError(f"{labels_path}: class names {data['class_names']} differ from {args.checkpoint}'s {names}")
-    report = evaluate_model(graph, data["test_x"], data["test_y"])
-    out = Path(args.out)
+def _write_report(out: Path, report, class_names) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_report_tsv(out / "report.tsv", report)
     for name, matrix in report.confusion.items():
-        write_confusion_tsv(out / f"confusion_{name}.tsv", matrix, data["class_names"])
+        write_confusion_tsv(out / f"confusion_{name}.tsv", matrix, class_names)
+
+
+def _load_scored(features_path, checkpoint, labels_path=None):
+    """The checked inputs of evaluate and predict: (graph, features, labels, class names)."""
+    features, labels = storage.read_features(features_path)
+    names = storage.read_class_names(labels_path) if labels_path else None
+    if names is not None:
+        storage.check_labels(features_path, labels, len(names), pipeline.LABELS_FILE)
+    if features.shape[0] == 0:
+        raise storage.ContainerError(f"{features_path}: holds no samples")
+    graph, _meta = load_model(checkpoint)
+    storage.check_labels(features_path, labels, graph.desc["n_classes"], checkpoint)
+    if names is not None and graph.desc["class_names"] not in (None, names):
+        raise storage.ContainerError(f"{labels_path}: class names {names} differ from {checkpoint}'s {graph.desc['class_names']}")
+    return graph, features, labels, names or graph.desc["class_names"] or [str(i) for i in range(graph.desc["n_classes"])]
+
+
+def cmd_evaluate(args) -> int:
+    split = Path(args.features)
+    graph, features, labels, class_names = _load_scored(split / pipeline.TEST_FILE, args.checkpoint, split / pipeline.LABELS_FILE)
+    report = evaluate_model(graph, features, labels)
+    _write_report(Path(args.out), report, class_names)
     for name in report.head_names:
         print(f"{name}\taccuracy {report.accuracy[name]:.6g}")
     return 0
 
 
 def cmd_predict(args) -> int:
-    features, labels = storage.read_features(args.features)
-    _require_samples(args.features, features)
-    graph, _meta = load_model(args.checkpoint)
-    storage.check_labels(args.features, labels, graph.desc["n_classes"], args.checkpoint)
+    graph, features, labels, class_names = _load_scored(args.features, args.checkpoint)
     head_probs = predict_probs(graph, features)
     preds = {name: np.argmax(p, axis=1) for name, p in head_probs.items()}
-    probs = head_probs["global"]
-    class_names = graph.desc.get("class_names") or [str(i) for i in range(graph.desc["n_classes"])]
     heads = graph.head_names()
     lines = ["index\tlabel\t" + "\t".join(f"pred_{h}" for h in heads) + "\t" + "\t".join(f"p_{c}" for c in class_names)]
     for i in range(features.shape[0]):
         row = [str(i), class_names[int(labels[i])]]
         row += [class_names[int(preds[h][i])] for h in heads]
-        row += [f"{v:.6g}" for v in probs[i]]
+        row += [f"{v:.6g}" for v in head_probs["global"][i]]
         lines.append("\t".join(row))
     text = "\n".join(lines) + "\n"
     if args.out:

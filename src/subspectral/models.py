@@ -85,8 +85,8 @@ def global_head_widths(crop_count: int, head_compat: bool = False) -> list[int]:
 
 def _check_pool(prefix: str, pool: tuple[int, int], extent: tuple[int, int]):
     for what, size, available in zip(("frequency", "time"), pool, extent):
-        if size > available:
-            raise ValueError(f"{prefix}: pool size {size} exceeds available {what} extent {available}")
+        if not 1 <= size <= available:
+            raise ValueError(f"{prefix}: pool size {size} is outside [1, {available}], the available {what} extent")
 
 
 def _conv_trunk(prefix, c_in, in_size, widths, pool1, dense_width, *, time_pool, dropout, rng, dtype) -> Sequential:
@@ -324,7 +324,8 @@ def build_model(desc: dict, seed: int | None = 0, dtype=np.float32) -> ModelGrap
     or the "model" object of a checkpoint header) describes; seed keys
     the weight init, and seed None leaves every weight unset (np.empty)
     for a caller that loads them all next. Raises KeyError for a missing
-    description key.
+    description key, and ValueError or TypeError for a bad value, such as
+    class_names that is neither None nor a list of n_classes strings.
 
     The baseline CNN is the one-band graph: a trunk over all mel bins
     ending after a 100-unit dense block, with width_multiplier scaling
@@ -339,6 +340,9 @@ def build_model(desc: dict, seed: int | None = 0, dtype=np.float32) -> ModelGrap
     kind = desc["kind"]
     desc = {key: desc[key] for key in _description_keys(kind)}
     n_classes, channels, frames, mel_bins = desc["n_classes"], desc["channels"], desc["frames"], desc["mel_bins"]
+    names = desc["class_names"]
+    if names is not None and not (isinstance(names, list) and len(names) == n_classes and all(isinstance(n, str) for n in names)):
+        raise ValueError(f"class_names {names!r} is not a list of {n_classes} strings")
     rng = None if seed is None else philox_rng(seed, STREAM_INIT)
     block = dict(time_pool=desc["time_pool"], dropout=desc["dropout"], rng=rng, dtype=dtype)
 

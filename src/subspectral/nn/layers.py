@@ -254,6 +254,8 @@ class Dropout(Layer):
 
     def __init__(self, rate, name=""):
         super().__init__(name)
+        if not 0 <= rate < 1:
+            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
         self.rng: np.random.Generator | None = None
         self._mask = None  # (mask,) after a train-mode forward; mask is None at rate 0

@@ -4,19 +4,23 @@ Each property writes one valid file, damages it by truncation, a
 single-bit flip or an inflated u32 header field, and reads it back. The
 reader must either return or raise its typed error, never a bare numpy,
 struct or JSON error: ContainerError for .ssnf, normalizer.bin and .ssnw,
-WavFormatError or UnsupportedWavError for WAV files.
+WavFormatError or UnsupportedWavError for WAV files. A checkpoint whose
+model description holds a bad value must make predict exit 1 naming it.
 """
 
+import contextlib
+import io
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subspectral.audio import AudioClip, UnsupportedWavError, WavFormatError, load_wav, save_wav
+from subspectral.cli import main
 from subspectral.features import BinNormalizer
-from subspectral.models import model_description
+from subspectral.models import build_model, model_description
 from subspectral.storage import (
     ContainerError,
     read_checkpoint,
@@ -29,6 +33,9 @@ from subspectral.storage import (
 
 # a fixed, derandomized example budget per property
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
+# small values only, so that no description built from them allocates
+# more than a few times the valid model's tensors
+DESCRIPTION_VALUES = [-1, 0, 1, 3, 1.5, float("nan"), "x", [], ["a", "b"], None, True]
 INFLATED = st.one_of(st.sampled_from([0, 1, 2**16, 2**31 - 1, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
 
 
@@ -94,3 +101,36 @@ def test_wav_16bit(tmp_path):
     save_wav(path, AudioClip(np.random.default_rng(3).uniform(-1, 1, (2, 40)), 8000), bits=16)
     # RIFF size, fmt size, sample rate, byte rate, data size
     fuzz_reader(path, load_wav, (WavFormatError, UnsupportedWavError), [4, 16, 24, 28, 40])
+
+
+@pytest.fixture(scope="module")
+def scored(tmp_path_factory):
+    """A valid 3-class checkpoint over 40 mel x 50 frames stereo, its
+    description, and a .ssnf of one sample per class."""
+    root = tmp_path_factory.mktemp("scored")
+    desc = model_description("subspectralnet", 40, 50, 2, n_classes=3, class_names=["car", "bus", "tram"])
+    graph = build_model(desc, seed=0)
+    graph.set_dropout_rng(np.random.default_rng(0))
+    x = np.random.default_rng(4).standard_normal((3, 2, 40, 50)).astype(np.float32)
+    graph.forward(x, train=True)  # sets the batch-norm running stats
+    graph.save(root / "valid.ssnw")
+    write_features(root / "x.ssnf", x, [0, 1, 2])
+    return root, desc
+
+
+@FUZZ
+@given(key=st.sampled_from(list(model_description("subspectralnet", 40, 50, 2))), value=st.sampled_from(DESCRIPTION_VALUES))
+@example(key="time_pool", value=0)
+@example(key="dropout", value=1.5)
+@example(key="class_names", value=["a", "b"])
+def test_predict_with_one_bad_description_value(scored, key, value):
+    root, desc = scored
+    _, tensors, _ = read_checkpoint(root / "valid.ssnw")
+    path = root / "damaged.ssnw"
+    write_checkpoint(path, dict(desc, **{key: value}), [(name, "param", array) for name, array in tensors.items()])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["predict", "--checkpoint", str(path), "--features", str(root / "x.ssnf")])
+    assert code in (0, 1)
+    if code:
+        assert str(path) in err.getvalue()

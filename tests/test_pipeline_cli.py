@@ -179,6 +179,21 @@ class TestCli:
         assert report.startswith("head\taccuracy")
         assert (out / "confusion_global.tsv").exists()
 
+    def test_evaluate_reads_only_the_test_split_and_labels(self, cli_dirs, tmp_path):
+        _, feat, run = cli_dirs
+        scored = tmp_path / "feat"
+        scored.mkdir()
+        for name in ("test.ssnf", "labels.tsv"):
+            (scored / name).write_bytes((feat / name).read_bytes())
+        ckpt = str(run / "model.ssnw")
+        for features, out in ((feat, tmp_path / "full"), (scored, tmp_path / "scored")):
+            assert main(["evaluate", "--checkpoint", ckpt, "--features", str(features), "--out", str(out)]) == 0
+        written = sorted(p.name for p in (tmp_path / "full").iterdir())
+        assert "report.tsv" in written and "confusion_global.tsv" in written
+        assert sorted(p.name for p in (tmp_path / "scored").iterdir()) == written
+        for name in written:
+            assert (tmp_path / "scored" / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
     def test_predict_command(self, cli_dirs, tmp_path):
         _, feat, run = cli_dirs
         out = tmp_path / "pred.tsv"
