@@ -325,7 +325,8 @@ def build_model(desc: dict, seed: int | None = 0, dtype=np.float32) -> ModelGrap
     the weight init, and seed None leaves every weight unset (np.empty)
     for a caller that loads them all next. Raises KeyError for a missing
     description key, and ValueError or TypeError for a bad value, such as
-    class_names that is neither None nor a list of n_classes strings.
+    class_names that is neither None nor a list of n_classes strings, or
+    a head_compat or include_sub_heads that is not a bool.
 
     The baseline CNN is the one-band graph: a trunk over all mel bins
     ending after a 100-unit dense block, with width_multiplier scaling
@@ -343,6 +344,9 @@ def build_model(desc: dict, seed: int | None = 0, dtype=np.float32) -> ModelGrap
     names = desc["class_names"]
     if names is not None and not (isinstance(names, list) and len(names) == n_classes and all(isinstance(n, str) for n in names)):
         raise ValueError(f"class_names {names!r} is not a list of {n_classes} strings")
+    for key in ("head_compat", "include_sub_heads"):
+        if key in desc and not isinstance(desc[key], bool):
+            raise ValueError(f"{key} {desc[key]!r} is not true or false")
     rng = None if seed is None else philox_rng(seed, STREAM_INIT)
     block = dict(time_pool=desc["time_pool"], dropout=desc["dropout"], rng=rng, dtype=dtype)
 
@@ -376,7 +380,9 @@ def build_model(desc: dict, seed: int | None = 0, dtype=np.float32) -> ModelGrap
 def load_model(path, dtype=np.float32) -> tuple[ModelGraph, dict]:
     """Rebuild a graph from a checkpoint and load its tensors. Returns
     (graph, meta). The graph is built with its weights unset: load_state
-    raises unless the file holds every tensor, each with its shape."""
+    raises unless the file holds every tensor, each with its shape. A
+    batch norm whose batches_seen is not positive has no running
+    statistics for the eval forward to read, so it is rejected here."""
     desc, tensors, meta = storage.read_checkpoint(path)
     try:
         graph = build_model(desc, seed=None, dtype=dtype)
@@ -388,4 +394,7 @@ def load_model(path, dtype=np.float32) -> tuple[ModelGraph, dict]:
         graph.load_state(tensors)
     except ValueError as exc:
         raise storage.ContainerError(f"{path}: checkpoint {exc}") from exc
+    for name, value in graph.buffers():
+        if name.endswith(".batches_seen") and not value[0] > 0:
+            raise storage.ContainerError(f"{path}: {name} is {value[0]:g}: batch-norm statistics from no training batch")
     return graph, meta

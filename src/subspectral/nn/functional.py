@@ -12,6 +12,16 @@ the result is written into out, which may be the kernel's own input x or
 dy; without it they return a new array and leave their inputs as they
 are. Every float operation runs in the same order either way, so out=
 changes no bits.
+
+Threads: convs whose columns exceed COLS_BUDGET run their slabs on the
+calling thread plus WORKERS - 1 helpers (_slabwise). Batch norm splits by
+channel, and ReLU and max-pool by sample, into WORKERS parts on the same
+threads when each part's numpy calls touch at least SPLIT_FLOOR bytes
+(_in_parts); each part runs the kernel's whole chain for its channels or
+samples, so the float operations and their order are those of one call.
+In both, the calling thread allocates every full-size array and the
+helpers write into slices of them, and the helpers call only numpy. The
+bits do not depend on the threads.
 """
 
 from __future__ import annotations
@@ -34,6 +44,14 @@ COLS_BUDGET = 24 * 2**20
 # Threads that share COLS_BUDGET: the calling thread and WORKERS - 1
 # helpers, each started for one batch of slabs and joined before the next.
 WORKERS = 2
+# Bytes that each part's numpy calls must touch before batch norm, ReLU or
+# max-pool splits over the WORKERS threads (_in_parts). 2 MiB splits the
+# 10 s clips' first-block kernels and keeps every 1 s geometry's tensors
+# (the largest, desk-40's eval batch norm, is 3.84 MB: 1.92 MB a half) and
+# the 10 s second-block ones on the calling thread. A 512 KiB floor, which
+# split the 1 s batch norms, slowed the 200-mel band-split evaluation, and
+# the (4, 100) pool of the 10 s second block ran slower split than whole.
+SPLIT_FLOOR = 2 * 2**20
 
 
 def _same_padding(k: int) -> tuple[int, int]:
@@ -128,6 +146,24 @@ def _run_at_once(job, arglists) -> None:
             t.join()
     if errors:
         raise errors[0]
+
+
+def _in_parts(units: int, call_bytes: int, job, min_part: int = 1) -> None:
+    """Call job(lo, hi) over contiguous parts [lo, hi) that cover
+    range(units), where one numpy call over all units touches call_bytes.
+
+    Parts are near-equal, at most WORKERS of them and each of at least
+    min_part units. When there are two or more and the smallest touches
+    at least SPLIT_FLOOR bytes a call, the calling thread runs the first
+    part and one helper thread each of the others (_run_at_once);
+    otherwise job(0, units) runs alone on the calling thread.
+    """
+    parts = min(WORKERS, units // min_part)
+    if parts < 2 or call_bytes * (units // parts) < SPLIT_FLOOR * units:
+        job(0, units)
+        return
+    bounds = [units * k // parts for k in range(parts + 1)]
+    _run_at_once(job, list(zip(bounds, bounds[1:])))
 
 
 def _shifted(d: int, size: int) -> tuple[slice, slice]:
@@ -255,37 +291,51 @@ def maxpool2d(x: np.ndarray, pool_h: int, pool_w: int):
     the earlier element, as argmax does. Only in a window holding a NaN
     may idx differ from argmax's (y is NaN there either way, and training
     stops on the non-finite loss before any backward).
+
+    The scan runs over _in_parts' sample parts, each call touching one
+    strided column slice of its samples (x.nbytes / pool_w in all).
     """
     ho, wo = _pooled_size(x.shape, pool_h, pool_w)
     rows, cols = ho * pool_h, wo * pool_w
     itype = np.min_scalar_type(pool_h * pool_w - 1)
     # columns: m is each row's window maximum, jdx its column offset
-    m = x[:, :, :rows, 0:cols:pool_w].copy()
-    jdx = np.zeros(m.shape, dtype=itype)
-    found = np.empty(m.shape, dtype=bool)
-    cand = np.empty(m.shape, dtype=itype)
-    for j in range(1, pool_w):
-        xj = x[:, :, :rows, j:cols:pool_w]
-        np.greater(xj, m, out=found)
-        np.maximum(xj, m, out=m)
-        np.maximum(jdx, np.multiply(found, itype.type(j), out=cand), out=jdx)
-    # rows: the same scan over each window's row maxima
-    y = m[:, :, 0:rows:pool_h].copy()
-    idx = jdx[:, :, 0:rows:pool_h].copy()
-    found, cand = found[:, :, :ho], cand[:, :, :ho]
-    for i in range(1, pool_h):
-        mi = m[:, :, i:rows:pool_h]
-        np.greater(mi, y, out=found)
-        np.maximum(mi, y, out=y)
-        np.add(jdx[:, :, i:rows:pool_h], itype.type(i * pool_w), out=cand)
-        cand *= found
-        np.maximum(idx, cand, out=idx)
+    shape = x.shape[:2] + (rows, wo)
+    m = np.empty(shape, dtype=x.dtype)
+    jdx = np.zeros(shape, dtype=itype)
+    found = np.empty(shape, dtype=bool)
+    cand = np.empty(shape, dtype=itype)
+    y = np.empty(x.shape[:2] + (ho, wo), dtype=x.dtype)
+    idx = np.empty(y.shape, dtype=itype)
+
+    def part(lo, hi):
+        xs, ms, js, fs, cs = x[lo:hi], m[lo:hi], jdx[lo:hi], found[lo:hi], cand[lo:hi]
+        np.copyto(ms, xs[:, :, :rows, 0:cols:pool_w])
+        for j in range(1, pool_w):
+            xj = xs[:, :, :rows, j:cols:pool_w]
+            np.greater(xj, ms, out=fs)
+            np.maximum(xj, ms, out=ms)
+            np.maximum(js, np.multiply(fs, itype.type(j), out=cs), out=js)
+        # rows: the same scan over each window's row maxima
+        ys, idxs = y[lo:hi], idx[lo:hi]
+        np.copyto(ys, ms[:, :, 0:rows:pool_h])
+        np.copyto(idxs, js[:, :, 0:rows:pool_h])
+        fs, cs = fs[:, :, :ho], cs[:, :, :ho]
+        for i in range(1, pool_h):
+            mi = ms[:, :, i:rows:pool_h]
+            np.greater(mi, ys, out=fs)
+            np.maximum(mi, ys, out=ys)
+            np.add(js[:, :, i:rows:pool_h], itype.type(i * pool_w), out=cs)
+            cs *= fs
+            np.maximum(idxs, cs, out=idxs)
+
+    _in_parts(x.shape[0], x.nbytes // pool_w, part)
     return y, idx
 
 
 def maxpool2d_eval(x: np.ndarray, pool_h: int, pool_w: int) -> np.ndarray:
     """maxpool2d's y without the argmax: a running np.maximum over the
-    strided column slices of each window, then over its row slices.
+    strided column slices of each window, then over its row slices, over
+    maxpool2d's sample parts.
 
     np.maximum returns its second operand when the two compare equal, so
     the running maximum goes second: a tie keeps the earlier element, as
@@ -294,18 +344,26 @@ def maxpool2d_eval(x: np.ndarray, pool_h: int, pool_w: int) -> np.ndarray:
     """
     ho, wo = _pooled_size(x.shape, pool_h, pool_w)
     rows, cols = ho * pool_h, wo * pool_w
-    m = x[:, :, :rows, 0:cols:pool_w].copy()
-    for j in range(1, pool_w):
-        np.maximum(x[:, :, :rows, j:cols:pool_w], m, out=m)
-    y = m[:, :, 0:rows:pool_h].copy()
-    for i in range(1, pool_h):
-        np.maximum(m[:, :, i:rows:pool_h], y, out=y)
+    m = np.empty(x.shape[:2] + (rows, wo), dtype=x.dtype)
+    y = np.empty(x.shape[:2] + (ho, wo), dtype=x.dtype)
+
+    def part(lo, hi):
+        xs, ms, ys = x[lo:hi], m[lo:hi], y[lo:hi]
+        np.copyto(ms, xs[:, :, :rows, 0:cols:pool_w])
+        for j in range(1, pool_w):
+            np.maximum(xs[:, :, :rows, j:cols:pool_w], ms, out=ms)
+        np.copyto(ys, ms[:, :, 0:rows:pool_h])
+        for i in range(1, pool_h):
+            np.maximum(ms[:, :, i:rows:pool_h], ys, out=ys)
+
+    _in_parts(x.shape[0], x.nbytes // pool_w, part)
     return y
 
 
 def maxpool2d_backward(dy: np.ndarray, idx: np.ndarray, x_shape, pool_h: int, pool_w: int) -> np.ndarray:
     """Route each dy to its window's first maximum: one scatter into a
-    zeroed dx through the flat offset of each winner.
+    zeroed dx through the flat offset of each winner, over maxpool2d's
+    sample parts.
 
     Window offset k = i * pool_w + j sits i * w + j past the window's
     top-left corner, that is k + i * (w - pool_w); the offsets are built
@@ -313,15 +371,32 @@ def maxpool2d_backward(dy: np.ndarray, idx: np.ndarray, x_shape, pool_h: int, po
     """
     n, c, h, w = x_shape
     ho, wo = dy.shape[2], dy.shape[3]
-    flat = np.floor_divide(idx, pool_w, dtype=np.intp)
-    flat *= w - pool_w
-    flat += idx
-    flat += (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
-    flat += np.arange(ho)[:, None] * (pool_h * w)
-    flat += np.arange(wo) * pool_w
+    flat = np.empty(dy.shape, dtype=np.intp)
+    planes = (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
+    rows = np.arange(ho)[:, None] * (pool_h * w)
+    cols = np.arange(wo) * pool_w
     dx = np.zeros(x_shape, dtype=dy.dtype)
-    dx.put(flat, dy)
+
+    def part(lo, hi):
+        f = flat[lo:hi]
+        np.floor_divide(idx[lo:hi], pool_w, out=f, dtype=np.intp)
+        f *= w - pool_w
+        f += idx[lo:hi]
+        f += planes[lo:hi]
+        f += rows
+        f += cols
+        dx.put(f, dy[lo:hi])
+
+    _in_parts(n, dx.nbytes // pool_w, part)
     return dx
+
+
+# Batch norm's channel parts hold at least two channels each: a one-channel
+# slice drops its channel axis inside numpy, whose float64 sums and einsums
+# then add in another order than over the whole array (seen at (5, 3, 8,
+# 12) split 1 + 2), while parts of two or more matched in 4,500 random
+# shapes and splits.
+_BN_MIN_PART = 2
 
 
 def _channel_moments(x: np.ndarray):
@@ -341,14 +416,34 @@ def batchnorm2d_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: f
     arrays, each computed in place after its first operation. xhat is
     complete before y is written, so out=x is safe: y goes over x and
     xhat is the one new array.
+
+    The moments, then xhat and y, run over _in_parts' channel parts, and
+    the calling thread allocates xhat and y between the two passes: the
+    reductions' scratch is then freed before xhat is allocated, the heap
+    order of one serial call. With xhat allocated first, desk-40's
+    perfbench peak_rss_mb read 88.5 MB against 85.1 MB in 20 of 20 paired
+    runs on a 2-core VM (glibc malloc).
     """
-    mean, var = _channel_moments(x)
-    inv = 1.0 / np.sqrt(var + eps)
-    inv_t = inv.astype(x.dtype)
-    xhat = np.subtract(x, mean.astype(x.dtype)[None, :, None, None])
-    xhat *= inv_t[None, :, None, None]
-    y = np.multiply(gamma[None, :, None, None], xhat, out=out)
-    y += beta[None, :, None, None]
+    c = x.shape[1]
+    mean, var = np.empty(c), np.empty(c)
+    inv_t = np.empty(c, dtype=x.dtype)
+
+    def moments(lo, hi):
+        mean[lo:hi], var[lo:hi] = _channel_moments(x[:, lo:hi])
+        inv_t[lo:hi] = 1.0 / np.sqrt(var[lo:hi] + eps)
+
+    _in_parts(c, x.nbytes, moments, _BN_MIN_PART)
+    xhat = np.empty(x.shape, dtype=x.dtype)
+    y = np.empty(x.shape, dtype=np.result_type(gamma, xhat)) if out is None else out
+
+    def part(lo, hi):
+        ch = np.s_[None, lo:hi, None, None]  # per-channel vectors over (N, C, H, W)
+        xs = np.subtract(x[:, lo:hi], mean[lo:hi].astype(x.dtype)[None, :, None, None], out=xhat[:, lo:hi])
+        xs *= inv_t[ch]
+        ys = np.multiply(gamma[ch], xs, out=y[:, lo:hi])
+        ys += beta[ch]
+
+    _in_parts(c, x.nbytes, part, _BN_MIN_PART)
     cache = (xhat, inv_t, gamma)
     return y.astype(x.dtype, copy=False), mean, var, cache
 
@@ -358,12 +453,19 @@ def batchnorm2d_eval(
 ) -> np.ndarray:
     """gamma * (x - mean) / sqrt(var + eps) + beta with the given
     statistics, in x's dtype: one output array (out, which may be x),
-    then scaled and shifted in place."""
+    then scaled and shifted in place, over _in_parts' channel parts."""
     inv = (1.0 / np.sqrt(var.astype(np.float64) + eps)).astype(x.dtype)
-    y = np.subtract(x, mean.astype(x.dtype)[None, :, None, None], out=out)
-    y *= inv[None, :, None, None]
-    y *= gamma[None, :, None, None]
-    y += beta[None, :, None, None]
+    mean = mean.astype(x.dtype)
+    y = np.empty(x.shape, dtype=x.dtype) if out is None else out
+
+    def part(lo, hi):
+        ch = np.s_[None, lo:hi, None, None]
+        ys = np.subtract(x[:, lo:hi], mean[ch], out=y[:, lo:hi])
+        ys *= inv[ch]
+        ys *= gamma[ch]
+        ys += beta[ch]
+
+    _in_parts(x.shape[1], x.nbytes, part, _BN_MIN_PART)
     return y
 
 
@@ -372,24 +474,36 @@ def batchnorm2d_backward(dy: np.ndarray, cache, out=None):
     dx = (inv / m) * ((m * dxhat - sum(dxhat)) - xhat * sum(dxhat * xhat))
     with dxhat = dy * gamma, evaluated in place in the array that holds
     dxhat (out, which may be dy: dgamma and dbeta are read from dy
-    first). xhat times its sum is written over the cached xhat, so the
-    cache is spent by this call."""
+    first), over _in_parts' channel parts. xhat times its sum is written
+    over the cached xhat, so the cache is spent by this call."""
     xhat, inv, gamma = cache
+    c = dy.shape[1]
     m = dy.shape[0] * dy.shape[2] * dy.shape[3]
-    dgamma = np.einsum("nchw,nchw->c", dy, xhat, dtype=np.float64)
-    dbeta = dy.sum(axis=(0, 2, 3), dtype=np.float64)
-    dx = np.multiply(dy, gamma[None, :, None, None], out=out)
-    sum_dxhat = dx.sum(axis=(0, 2, 3), dtype=np.float64)
-    sum_dxhat_xhat = np.einsum("nchw,nchw->c", dx, xhat, dtype=np.float64)
-    dx *= m
-    dx -= sum_dxhat.astype(dy.dtype)[None, :, None, None]
-    dx -= np.multiply(xhat, sum_dxhat_xhat.astype(dy.dtype)[None, :, None, None], out=xhat)
-    dx *= inv[None, :, None, None] / m
+    dgamma, dbeta = np.empty(c), np.empty(c)
+    dx = np.empty(dy.shape, dtype=np.result_type(dy, gamma)) if out is None else out
+
+    def part(lo, hi):
+        ch = np.s_[None, lo:hi, None, None]
+        dys, xs = dy[:, lo:hi], xhat[:, lo:hi]
+        dgamma[lo:hi] = np.einsum("nchw,nchw->c", dys, xs, dtype=np.float64)
+        dbeta[lo:hi] = dys.sum(axis=(0, 2, 3), dtype=np.float64)
+        dxs = np.multiply(dys, gamma[ch], out=dx[:, lo:hi])
+        sum_dxhat = dxs.sum(axis=(0, 2, 3), dtype=np.float64)
+        sum_dxhat_xhat = np.einsum("nchw,nchw->c", dxs, xs, dtype=np.float64)
+        dxs *= m
+        dxs -= sum_dxhat.astype(dy.dtype)[None, :, None, None]
+        dxs -= np.multiply(xs, sum_dxhat_xhat.astype(dy.dtype)[None, :, None, None], out=xs)
+        dxs *= inv[ch] / m
+
+    _in_parts(c, dy.nbytes, part, _BN_MIN_PART)
     return dx.astype(dy.dtype, copy=False), dgamma, dbeta
 
 
 def relu(x: np.ndarray, out=None) -> np.ndarray:
-    return np.maximum(x, 0, out=out)
+    """max(x, 0) over _in_parts' sample parts."""
+    y = np.empty_like(x) if out is None else out
+    _in_parts(x.shape[0], x.nbytes, lambda lo, hi: np.maximum(x[lo:hi], 0, out=y[lo:hi]))
+    return y
 
 
 def relu_backward(dy: np.ndarray, mask: np.ndarray, out=None) -> np.ndarray:

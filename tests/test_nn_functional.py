@@ -7,11 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
+from subspectral.models import build_model, model_description, multi_head_loss
 from subspectral.nn import functional as F
 from subspectral.nn.gradcheck import grad_check
 from subspectral.nn.layers import BatchNorm2d, Conv2dSame, Dense, Dropout, Flatten, MaxPool2d, Parameter, ReLU, Sequential
 from subspectral.nn.optim import BETA1, BETA2, EPS, ParamStore, adam_step
 from subspectral.seeding import philox_rng
+from subspectral.training import predict_probs
 
 
 def naive_conv2d_same(x, w, b):
@@ -542,6 +544,156 @@ class TestBatchNorm:
         assert peak <= 2 * x.nbytes + MEMORY_SLACK
         _, peak = traced_peak(F.batchnorm2d_backward, rng.standard_normal(x.shape).astype(dtype), cache)
         assert peak <= 2 * x.nbytes + MEMORY_SLACK
+
+
+class TestSplitKernels:
+    """Batch norm split by channel, ReLU and max-pool by sample (_in_parts),
+    against the same kernels on the calling thread alone."""
+
+    # corpus-10s block 1 and block 2 (10 s clips, 40 mel, doubled-width
+    # baseline, batch 10): batch norm, ReLU and the max-pool that follows
+    CORPUS = [((10, 64, 40, 500), (4, 5)), ((10, 128, 8, 100), (4, 100))]
+
+    @staticmethod
+    def kernel_outputs(x, pool, out):
+        """Every split kernel's results at x, batch norm's float64
+        statistics included; with out=True each kernel writes over a copy
+        of its input, as a layer stack that owns it does."""
+        rng = np.random.default_rng(x.shape[1])
+        c, dtype = x.shape[1], x.dtype
+        gamma = rng.uniform(0.5, 1.5, c).astype(dtype)
+        beta = rng.standard_normal(c).astype(dtype)
+        dy = rng.standard_normal(x.shape).astype(dtype)
+
+        def arg(a):
+            a = a.copy()
+            return a, (a if out else None)
+
+        got = []
+        xa, o = arg(x)
+        y, mean, var, cache = F.batchnorm2d_train(xa, gamma, beta, 1e-3, out=o)
+        got += [y, mean, var, cache[0].copy(), cache[1]]
+        da, o = arg(dy)
+        got += list(F.batchnorm2d_backward(da, cache, out=o))
+        xa, o = arg(x)
+        got.append(F.batchnorm2d_eval(xa, gamma, beta, mean.astype(dtype), var.astype(dtype), 1e-3, out=o))
+        xa, o = arg(x)
+        got.append(F.relu(xa, out=o))
+        y, idx = F.maxpool2d(x, *pool)
+        got += [y, idx, F.maxpool2d_eval(x, *pool)]
+        got.append(F.maxpool2d_backward(rng.standard_normal(y.shape).astype(dtype), idx, x.shape, *pool))
+        return got
+
+    def serial_and_split(self, monkeypatch, x, pool, out, workers=2):
+        monkeypatch.setattr(F, "WORKERS", workers)
+        monkeypatch.setattr(F, "SPLIT_FLOOR", float("inf"))
+        serial = self.kernel_outputs(x, pool, out)
+        monkeypatch.setattr(F, "SPLIT_FLOOR", 0)
+        started = _thread_starts(monkeypatch)
+        split = self.kernel_outputs(x, pool, out)
+        assert started
+        for a, e in zip(split, serial):
+            assert a.dtype == e.dtype and a.shape == e.shape and a.tobytes() == e.tobytes()
+
+    @staticmethod
+    def activations(shape, dtype):
+        x = (np.random.default_rng(sum(shape)).standard_normal(shape) * 2 + 0.5).astype(dtype)
+        x[:, ::3] = np.maximum(x[:, ::3], 0)  # channels of post-ReLU zeros
+        return x
+
+    @pytest.mark.parametrize("out", [False, True], ids=["new", "out"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, pool", CORPUS, ids=["block1", "block2"])
+    def test_corpus_shapes_match_the_serial_bytes(self, monkeypatch, shape, pool, dtype, out):
+        self.serial_and_split(monkeypatch, self.activations(shape, dtype), pool, out)
+
+    def test_corpus_block1_splits_at_the_floor_and_block2_does_not(self, monkeypatch):
+        started = _thread_starts(monkeypatch)
+        for (shape, pool), helpers in zip(self.CORPUS, (3, 0)):
+            before = len(started)
+            x = np.zeros(shape, dtype=np.float32)
+            ones = np.ones(shape[1], dtype=np.float32)
+            F.batchnorm2d_eval(x, ones, ones, ones, ones, 1e-3)
+            F.relu(x)
+            F.maxpool2d_eval(x, *pool)
+            assert len(started) - before == helpers
+
+    # odd channel counts (parts of unequal size), one sample (the sample
+    # kernels cannot split it), 3 or 4 parts, and 3 channels, whose
+    # one-channel part would change the float64 batch statistics' bits
+    SMALL = [
+        ((3, 5, 7, 9), (2, 3), 2),
+        ((1, 7, 6, 10), (3, 5), 2),
+        ((5, 9, 8, 12), (4, 4), 3),
+        ((7, 13, 5, 11), (1, 1), 4),
+        ((5, 3, 8, 12), (4, 4), 2),
+    ]
+
+    @pytest.mark.parametrize("out", [False, True], ids=["new", "out"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, pool, workers", SMALL)
+    def test_small_shapes_split_to_the_serial_bytes(self, monkeypatch, shape, pool, workers, dtype, out):
+        self.serial_and_split(monkeypatch, self.activations(shape, dtype), pool, out, workers)
+
+    def test_batch_norm_parts_hold_two_channels_or_more(self, monkeypatch):
+        monkeypatch.setattr(F, "SPLIT_FLOOR", 0)
+        monkeypatch.setattr(F, "WORKERS", 4)
+        parts = []
+
+        def run_at_once(job, arglists):
+            parts.append(arglists)
+            for args in arglists:
+                job(*args)
+
+        monkeypatch.setattr(F, "_run_at_once", run_at_once)
+        x = self.activations((5, 5, 8, 12), np.float64)
+        F.batchnorm2d_train(x, np.ones(5), np.zeros(5), 1e-3)
+        F.relu(x)
+        assert parts == [[(0, 2), (2, 5)]] * 2 + [[(0, 1), (1, 2), (2, 3), (3, 5)]]  # moments, then xhat and y
+
+    @pytest.mark.parametrize("kernel", ["bn_train", "bn_backward", "bn_eval", "relu", "pool", "pool_eval", "pool_backward"])
+    def test_split_peaks_no_higher_than_the_serial_call(self, monkeypatch, kernel):
+        x = self.activations((4, 8, 82, 106), np.float32)
+        ones, zeros = np.ones(8, dtype=np.float32), np.zeros(8, dtype=np.float32)
+        y, idx = F.maxpool2d(x, 4, 5)
+        calls = {
+            "bn_train": lambda: F.batchnorm2d_train(x, ones, zeros, 1e-3),
+            "bn_backward": lambda: F.batchnorm2d_backward(x, F.batchnorm2d_train(x, ones, zeros, 1e-3)[3]),
+            "bn_eval": lambda: F.batchnorm2d_eval(x, ones, zeros, zeros, ones, 1e-3),
+            "relu": lambda: F.relu(x),
+            "pool": lambda: F.maxpool2d(x, 4, 5),
+            "pool_eval": lambda: F.maxpool2d_eval(x, 4, 5),
+            "pool_backward": lambda: F.maxpool2d_backward(y, idx, x.shape, 4, 5),
+        }
+        peaks = {}
+        for floor in (float("inf"), 0):
+            monkeypatch.setattr(F, "SPLIT_FLOOR", floor)
+            _, peaks[floor] = traced_peak(calls[kernel])
+        assert peaks[0] <= peaks[float("inf")] + MEMORY_SLACK
+
+    def test_model_step_and_eval_do_not_depend_on_the_split(self, monkeypatch):
+        # the corpus-10s model (x2 baseline, T = 500) at batch 4
+        desc = model_description("baseline", 40, 500, 2, width_multiplier=2)
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((4, 2, 40, 500)).astype(np.float32)
+        labels = np.array([0, 3, 5, 9])
+        runs = {}
+        for floor in (0, float("inf")):
+            monkeypatch.setattr(F, "SPLIT_FLOOR", floor)
+            graph = build_model(desc, seed=3)
+            graph.set_dropout_rng(philox_rng(4, 0))
+            store = graph.param_store()
+            losses, dlogits = multi_head_loss(graph.forward(x, train=True), labels)
+            store.zero_grad()
+            graph.backward(dlogits)
+            adam_step(store)
+            runs[floor] = (losses, graph.state(), predict_probs(graph, x))
+        (losses, state, probs), (serial_losses, serial_state, serial_probs) = runs[0], runs[float("inf")]
+        assert losses == serial_losses
+        for name, value in serial_state.items():
+            assert state[name].tobytes() == value.tobytes(), name
+        for name, value in serial_probs.items():
+            assert probs[name].tobytes() == value.tobytes(), name
 
 
 class TestSoftmaxCrossEntropy:

@@ -352,6 +352,27 @@ class TestCli:
         assert code == 1
         assert str(damaged) in capsys.readouterr().err
 
+    def test_predict_with_untrained_batch_norm_exits_1(self, cli_dirs, tmp_path, capsys):
+        _, feat, run = cli_dirs
+        desc, tensors, _ = read_checkpoint(run / "model.ssnw")
+        tensors["sub1.bn2.batches_seen"] = np.zeros(1)
+        damaged = tmp_path / "model.ssnw"
+        write_checkpoint(damaged, desc, [(n, "param", v) for n, v in tensors.items()])
+        assert main(["predict", "--checkpoint", str(damaged), "--features", str(feat / "test.ssnf")]) == 1
+        err = capsys.readouterr().err
+        assert str(damaged) in err and "sub1.bn2" in err
+
+    @pytest.mark.parametrize("value", ["x", -1, 0, 1, 1.5, float("nan"), [], None])
+    @pytest.mark.parametrize("key", ["head_compat", "include_sub_heads"])
+    def test_predict_with_non_bool_head_option_exits_1(self, cli_dirs, tmp_path, capsys, key, value):
+        _, feat, run = cli_dirs
+        desc, tensors, _ = read_checkpoint(run / "model.ssnw")
+        damaged = tmp_path / "model.ssnw"
+        write_checkpoint(damaged, dict(desc, **{key: value}), [(n, "param", v) for n, v in tensors.items()])
+        assert main(["predict", "--checkpoint", str(damaged), "--features", str(feat / "test.ssnf")]) == 1
+        err = capsys.readouterr().err
+        assert str(damaged) in err and f"{key} " in err
+
     @pytest.mark.parametrize("frames, code", [(50, 0), (60, 1), (100, 1)])
     def test_predict_checks_the_frame_count(self, tmp_path, capsys, frames, code):
         from subspectral.models import build_model, model_description
