@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import storage
+
 METRICS = ("chisq", "kl", "hellinger")
 KL_SMOOTHING = 1e-12
 
@@ -225,28 +227,11 @@ def histogram_peak(hist_row) -> float:
     return float(np.median(np.flatnonzero(row == row.max())))
 
 
-def _format(value: float) -> str:
-    return f"{value:.6g}"
-
-
 def write_histograms_tsv(path, hists: BinHistogramSet) -> None:
     """Combined table: one row per mel bin, one column per class."""
-    with open(path, "w") as fh:
-        fh.write("bin\t" + "\t".join(str(c) for c in hists.class_ids) + "\n")
-        for f in range(hists.hist.shape[1]):
-            fh.write(f"{f}\t" + "\t".join(_format(v) for v in hists.hist[:, f]) + "\n")
+    storage.write_table(path, ([f, *column] for f, column in enumerate(hists.hist.T.tolist())), ["bin", *hists.class_ids])
 
 
 def write_class_histogram_tsv(path, hists: BinHistogramSet, index: int) -> None:
     """Single-class histogram, one (bin, value) row per mel bin."""
-    with open(path, "w") as fh:
-        fh.write(f"bin\t{hists.class_ids[index]}\n")
-        for f, v in enumerate(hists.hist[index]):
-            fh.write(f"{f}\t{_format(v)}\n")
-
-
-def write_matrix_tsv(path, matrix: DistanceMatrix, class_names) -> None:
-    with open(path, "w") as fh:
-        fh.write("class\t" + "\t".join(class_names) + "\n")
-        for name, row in zip(class_names, matrix.values):
-            fh.write(name + "\t" + "\t".join(_format(v) for v in row) + "\n")
+    storage.write_table(path, enumerate(hists.hist[index].tolist()), ["bin", hists.class_ids[index]])

@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Subcommands: synth, extract, analyze, train, evaluate, predict,
-paramcount, gradcheck. Numeric outputs are TSV with 6 significant digits;
+paramcount, gradcheck. Every table, written to a file or printed, goes
+through storage.table_text: tab-separated, floats to 6 significant digits;
 exit code is 0 on success and nonzero with a stderr diagnostic otherwise.
 """
 
@@ -21,7 +22,6 @@ from .training import (
     evaluate_model,
     predict_probs,
     train_model,
-    write_confusion_tsv,
     write_curves_tsv,
     write_report_tsv,
 )
@@ -91,8 +91,7 @@ def cmd_analyze(args) -> int:
     matrix = artifacts["matrices"][args.metric]
     print(f"wrote histograms and {len(artifacts['matrices'])} distance matrices to {args.out}")
     print(f"{args.metric} matrix (post-transform):")
-    for row in matrix.values:
-        print("\t".join(f"{v:.6g}" for v in row))
+    sys.stdout.write(storage.table_text(matrix.values.tolist()))
     return 0
 
 
@@ -136,11 +135,12 @@ def _write_report(out: Path, report, class_names) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_report_tsv(out / "report.tsv", report)
     for name, matrix in report.confusion.items():
-        write_confusion_tsv(out / f"confusion_{name}.tsv", matrix, class_names)
+        storage.write_class_matrix(out / f"confusion_{name}.tsv", matrix, class_names)
 
 
 def _load_scored(features_path, checkpoint, labels_path=None):
-    """The checked inputs of evaluate and predict: (graph, features, labels, class names)."""
+    """The checked inputs of evaluate and predict: (graph, features, labels,
+    class names), with the features' (C, F, T) that of the checkpoint."""
     features, labels = storage.read_features(features_path)
     names = storage.read_class_names(labels_path) if labels_path else None
     if names is not None:
@@ -148,6 +148,10 @@ def _load_scored(features_path, checkpoint, labels_path=None):
     if features.shape[0] == 0:
         raise storage.ContainerError(f"{features_path}: holds no samples")
     graph, _meta = load_model(checkpoint)
+    geometry = [graph.desc[key] for key in ("channels", "mel_bins", "frames")]
+    for what, got, want in zip(("channels", "mel bins", "frames"), features.shape[1:], geometry):
+        if got != want:
+            raise storage.ContainerError(f"{features_path}: input has {got} {what}, model expects {want} ({checkpoint})")
     storage.check_labels(features_path, labels, graph.desc["n_classes"], checkpoint)
     if names is not None and graph.desc["class_names"] not in (None, names):
         raise storage.ContainerError(f"{labels_path}: class names {names} differ from {checkpoint}'s {graph.desc['class_names']}")
@@ -168,14 +172,13 @@ def cmd_predict(args) -> int:
     graph, features, labels, class_names = _load_scored(args.features, args.checkpoint)
     head_probs = predict_probs(graph, features)
     preds = {name: np.argmax(p, axis=1) for name, p in head_probs.items()}
-    heads = graph.head_names()
-    lines = ["index\tlabel\t" + "\t".join(f"pred_{h}" for h in heads) + "\t" + "\t".join(f"p_{c}" for c in class_names)]
-    for i in range(features.shape[0]):
-        row = [str(i), class_names[int(labels[i])]]
-        row += [class_names[int(preds[h][i])] for h in heads]
-        row += [f"{v:.6g}" for v in head_probs["global"][i]]
-        lines.append("\t".join(row))
-    text = "\n".join(lines) + "\n"
+    heads, probs = graph.head_names(), head_probs["global"].tolist()
+    header = ["index", "label", *(f"pred_{h}" for h in heads), *(f"p_{c}" for c in class_names)]
+    rows = (
+        [i, class_names[label], *(class_names[preds[h][i]] for h in heads), *probs[i]]
+        for i, label in enumerate(labels)
+    )
+    text = storage.table_text(rows, header)
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote predictions for {features.shape[0]} samples to {args.out}")
@@ -187,10 +190,8 @@ def cmd_predict(args) -> int:
 def cmd_paramcount(args) -> int:
     channels = 2 if args.channels == "stereo" else 1
     graph = build_model(model_description(args.model, args.mel_bins, args.frames, channels, **_model_options(args)))
-    print("layer\tkind\tparams")
-    for row in graph.layer_table():
-        print(f"{row['name']}\t{row['kind']}\t{row['params']}")
-    print(f"total\t\t{count_params(graph)}")
+    rows = [[row["name"], row["kind"], row["params"]] for row in graph.layer_table()]
+    sys.stdout.write(storage.table_text([*rows, ["total", "", count_params(graph)]], ["layer", "kind", "params"]))
     return 0
 
 
@@ -198,15 +199,14 @@ def cmd_gradcheck(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     entries = run_gradient_suite(seeds=range(args.seeds))
-    print("case\tdtype\tcoords\tmax_rel_error\ttolerance\tstatus")
     by_case: dict[tuple, list] = {}
     for e in entries:
         by_case.setdefault((e.case, e.dtype), []).append(e.report)
+    rows = []
     for (case, dtype), reports in by_case.items():
-        coords = sum(r.n_coords for r in reports)
-        worst = max(r.max_rel_error for r in reports)
-        ok = all(r.passed for r in reports)
-        print(f"{case}\t{dtype}\t{coords}\t{worst:.6g}\t{reports[0].tolerance:.6g}\t{'pass' if ok else 'FAIL'}")
+        status = "pass" if all(r.passed for r in reports) else "FAIL"
+        rows.append([case, dtype, sum(r.n_coords for r in reports), max(r.max_rel_error for r in reports), reports[0].tolerance, status])
+    sys.stdout.write(storage.table_text(rows, ["case", "dtype", "coords", "max_rel_error", "tolerance", "status"]))
     return 0 if all(e.passed for e in entries) else 1
 
 

@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioClip, save_wav
-from .features import check_sample_rate, hz_to_mel, mel_to_hz
+from .features import WINDOW_MS, check_sample_rate, hz_to_mel, mel_to_hz, window_samples
 from .seeding import STREAM_SYNTH, philox_rng
+from .storage import write_table
 
 SPLITS = ("train", "test")
 
@@ -94,10 +95,7 @@ def parse_manifest_pair(train_path, test_path) -> DatasetManifest:
 
 
 def write_manifest(path, manifest: DatasetManifest) -> None:
-    with open(path, "w") as fh:
-        fh.write("filename\tscene_label\tsplit\n")
-        for e in manifest.entries:
-            fh.write(f"{e.path}\t{e.label}\t{e.split}\n")
+    write_table(path, ([e.path, e.label, e.split] for e in manifest.entries), ["filename", "scene_label", "split"])
 
 
 def fixture_bands(classes: int, f_max: float, overlap_pair: bool = True) -> list[tuple[float, float]]:
@@ -156,12 +154,16 @@ def synth_fixture(
     per_class counts clips per class in total; the trailing
     test_per_class of them (default max(1, per_class // 4)) land in the
     test split. sample_rate must be one the feature frontend takes (up
-    to 51.2 kHz). Deterministic for a fixed seed, down to the bytes.
-    Writes manifest.tsv and fixture.json (band metadata) into out_dir.
+    to 51.2 kHz), and seconds at least its 40 ms window. Deterministic
+    for a fixed seed, down to the bytes. Writes manifest.tsv and
+    fixture.json (band metadata) into out_dir.
     """
     if not 1 <= classes <= 10:
         raise ValueError("classes must be in 1..10")
     check_sample_rate(sample_rate)  # extract rejects the clips of any other rate
+    n, win = int(round(seconds * sample_rate)), window_samples(sample_rate)
+    if n < win:  # nor a clip shorter than one window
+        raise ValueError(f"{seconds:g} s clips of {n} samples are shorter than one {WINDOW_MS:g} ms window of {win} samples at {sample_rate} Hz")
     if test_per_class is None:
         test_per_class = max(1, per_class // 4)
     if not 0 < test_per_class < per_class:
@@ -170,7 +172,6 @@ def synth_fixture(
     (out_dir / "audio").mkdir(parents=True, exist_ok=True)
     bands = fixture_bands(classes, sample_rate / 2.0, overlap_pair)
     mel_top = float(hz_to_mel(sample_rate / 2.0))
-    n = int(round(seconds * sample_rate))
     rng = philox_rng(seed, STREAM_SYNTH)
     entries = []
     names = [f"band{c:02d}" for c in range(classes)]

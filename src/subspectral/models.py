@@ -325,8 +325,9 @@ def build_model(desc: dict, seed: int | None = 0, dtype=np.float32) -> ModelGrap
     the weight init, and seed None leaves every weight unset (np.empty)
     for a caller that loads them all next. Raises KeyError for a missing
     description key, and ValueError or TypeError for a bad value, such as
-    class_names that is neither None nor a list of n_classes strings, or
-    a head_compat or include_sub_heads that is not a bool.
+    class_names that is neither None nor a list of n_classes strings, a
+    head_compat or include_sub_heads that is not a bool, or a
+    width_multiplier that is not an int >= 1.
 
     The baseline CNN is the one-band graph: a trunk over all mel bins
     ending after a 100-unit dense block, with width_multiplier scaling
@@ -347,6 +348,9 @@ def build_model(desc: dict, seed: int | None = 0, dtype=np.float32) -> ModelGrap
     for key in ("head_compat", "include_sub_heads"):
         if key in desc and not isinstance(desc[key], bool):
             raise ValueError(f"{key} {desc[key]!r} is not true or false")
+    mult = desc.get("width_multiplier", 1)
+    if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
+        raise ValueError(f"width_multiplier {mult!r} is not an integer >= 1")
     rng = None if seed is None else philox_rng(seed, STREAM_INIT)
     block = dict(time_pool=desc["time_pool"], dropout=desc["dropout"], rng=rng, dtype=dtype)
 
@@ -356,7 +360,7 @@ def build_model(desc: dict, seed: int | None = 0, dtype=np.float32) -> ModelGrap
     if kind == "baseline":
         if mel_bins % 5 != 0 or (mel_bins // 5) % 4 != 0:
             raise ValueError(f"mel_bins {mel_bins} must divide by 5 and then by 4 for the pooling stack")
-        widths = (32 * desc["width_multiplier"], 64 * desc["width_multiplier"])
+        widths = (32 * mult, 64 * mult)
         trunk = _conv_trunk("base", channels, (mel_bins, frames), widths, (5, 5), 100, **block)
         return ModelGraph(desc, [(0, mel_bins)], [trunk], [], Sequential([dense(100, n_classes, "base.dense2")]))
 

@@ -144,5 +144,5 @@ def analyze_dataset(features_dir, out_dir, *, k: float = 10.0) -> dict:
     for metric in bandstats.METRICS:
         matrix = bandstats.confusion_like_matrix(hists, metric, k)
         matrices[metric] = matrix
-        bandstats.write_matrix_tsv(out_dir / f"matrix_{metric}.tsv", matrix, class_names)
+        storage.write_class_matrix(out_dir / f"matrix_{metric}.tsv", matrix.values, class_names)
     return {"profiles": profiles, "histograms": hists, "matrices": matrices}

@@ -17,6 +17,10 @@ Checkpoint (.ssnw), little-endian:
 
 The checkpoint header carries the model description (layer list, split
 configuration, head flags) plus tensor names/shapes/dtypes.
+
+Tables (every TSV file and printed table) are tab-separated lines, each
+ending in a newline; floats are written to 6 significant digits
+(table_text).
 """
 
 from __future__ import annotations
@@ -116,10 +120,26 @@ def read_normalizer(path) -> BinNormalizer:
         raise ContainerError(f"{path}: {exc}") from exc
 
 
+def table_text(rows, header=None) -> str:
+    """Tab-separated lines, header first, each ending in a newline. Python
+    and numpy floats are written as f"{v:.6g}", every other cell as str(v)."""
+    floats = (float, np.floating)  # bound once: building it per cell doubled the time
+    lines = rows if header is None else [header, *rows]
+    return "".join(["\t".join([f"{v:.6g}" if isinstance(v, floats) else str(v) for v in line]) + "\n" for line in lines])
+
+
+def write_table(path, rows, header=None) -> None:
+    Path(path).write_text(table_text(rows, header))
+
+
+def write_class_matrix(path, matrix, class_names) -> None:
+    """A class x class table (confusion counts, distance matrices): a
+    'class' header naming the columns, then one row per class."""
+    write_table(path, ([name, *row] for name, row in zip(class_names, matrix.tolist())), ["class", *class_names])
+
+
 def write_class_names(path, names) -> None:
-    with open(path, "w") as fh:
-        for i, name in enumerate(names):
-            fh.write(f"{i}\t{name}\n")
+    write_table(path, enumerate(names))
 
 
 def read_class_names(path) -> list[str]:
@@ -190,6 +210,8 @@ def read_checkpoint(path) -> tuple[dict, dict, dict]:
             raise ContainerError(f"{path}: malformed tensor entry {entry!r}")
         if entry["name"] in tensors:
             raise ContainerError(f"{path}: tensor {entry['name']!r} is listed twice")
+        if entry.get("dtype") != "float32":
+            raise ContainerError(f"{path}: tensor {entry['name']!r} has dtype {entry.get('dtype')!r}, not 'float32'")
         count = math.prod(shape)  # exact: np.prod wraps in int64
         if pos + count * 4 > len(blob):
             raise ContainerError(f"{path}: tensor {entry['name']!r} runs past the end of the file")

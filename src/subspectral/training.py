@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import storage
 from .models import KIND_OPTIONS, ModelGraph, build_model, model_description, multi_head_loss
 from .nn import functional as F
 from .nn.optim import adam_step
@@ -196,29 +197,13 @@ def train_model(
     )
 
 
-def _format(value: float) -> str:
-    return f"{value:.6g}"
-
-
 def write_report_tsv(path, report: EvalReport) -> None:
-    with open(path, "w") as fh:
-        fh.write("head\taccuracy\tn_samples\n")
-        for name in report.head_names:
-            fh.write(f"{name}\t{_format(report.accuracy[name])}\t{report.n_samples}\n")
-
-
-def write_confusion_tsv(path, matrix: np.ndarray, class_names) -> None:
-    with open(path, "w") as fh:
-        fh.write("class\t" + "\t".join(class_names) + "\n")
-        for name, row in zip(class_names, matrix):
-            fh.write(name + "\t" + "\t".join(str(int(v)) for v in row) + "\n")
+    rows = [[name, report.accuracy[name], report.n_samples] for name in report.head_names]
+    storage.write_table(path, rows, ["head", "accuracy", "n_samples"])
 
 
 def write_curves_tsv(path, history: RunHistory) -> None:
     heads = list(history.test_accuracy)
-    with open(path, "w") as fh:
-        fh.write("epoch\tloss\ttrain_acc_global\t" + "\t".join(f"test_acc_{h}" for h in heads) + "\n")
-        for epoch in range(len(history.epoch_loss)):
-            cells = [str(epoch), _format(history.epoch_loss[epoch]), _format(history.train_accuracy[epoch])]
-            cells += [_format(history.test_accuracy[h][epoch]) for h in heads]
-            fh.write("\t".join(cells) + "\n")
+    columns = [history.epoch_loss, history.train_accuracy, *(history.test_accuracy[h] for h in heads)]
+    rows = [[epoch, *values] for epoch, values in enumerate(zip(*columns))]
+    storage.write_table(path, rows, ["epoch", "loss", "train_acc_global", *(f"test_acc_{h}" for h in heads)])

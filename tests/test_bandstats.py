@@ -18,8 +18,8 @@ from subspectral.bandstats import (
     pairwise_distances,
     per_bin_classify,
     write_histograms_tsv,
-    write_matrix_tsv,
 )
+from subspectral.storage import write_class_matrix
 
 F_BINS = 6
 
@@ -331,7 +331,7 @@ class TestTsvOutputs:
     def test_matrix_table(self, tmp_path):
         matrix = confusion_like_matrix(toy_hists(), "chisq", 10.0)
         path = tmp_path / "m.tsv"
-        write_matrix_tsv(path, matrix, ["a", "b", "c"])
+        write_class_matrix(path, matrix.values, ["a", "b", "c"])
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "class\ta\tb\tc"
         assert lines[1].startswith("a\t1\t")

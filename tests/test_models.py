@@ -464,6 +464,18 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ContainerError, match=re.escape(name)):
             load_model(path)
 
+    @pytest.mark.parametrize("value", [0, -1, 1.5, True, "2"])
+    def test_width_multiplier_must_be_an_int_of_at_least_1(self, tmp_path, value):
+        with pytest.raises(ValueError, match=re.escape(f"width_multiplier {value!r} is not an integer >= 1")):
+            build_model(model_description("baseline", 40, 50, 2, time_pool=10, width_multiplier=value))
+        graph = build_model(model_description("baseline", 40, 50, 2, time_pool=10), seed=3)
+        path = tmp_path / "model.ssnw"
+        graph.save(path)
+        desc, tensors, _ = read_checkpoint(path)
+        write_checkpoint(path, dict(desc, width_multiplier=value), [(n, "param", v) for n, v in tensors.items()])
+        with pytest.raises(ContainerError, match=re.escape(f"{path}: bad model description: width_multiplier {value!r}")):
+            load_model(path)
+
     def test_checkpoint_listing_a_tensor_twice_is_rejected(self, tmp_path):
         graph = build_model(model_description("baseline", 40, 50, 2, time_pool=10), seed=3)
         path = tmp_path / "model.ssnw"

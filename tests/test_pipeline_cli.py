@@ -9,8 +9,9 @@ import pytest
 from subspectral.audio import AudioClip, load_wav, save_wav
 from subspectral.cli import main
 from subspectral.data import synth_fixture
+from subspectral.models import load_model
 from subspectral.pipeline import analyze_dataset, extract_dataset, load_feature_dir
-from subspectral.storage import read_checkpoint, read_features, write_checkpoint, write_class_names, write_features
+from subspectral.storage import ContainerError, read_checkpoint, read_features, write_checkpoint, write_class_names, write_features
 
 
 @pytest.fixture(scope="module")
@@ -413,6 +414,99 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "feat" / "train.ssnf").exists()
+
+    @pytest.mark.parametrize("seconds, code", [("0", 1), ("-1", 1), ("0.01", 1), ("0.04", 0)])
+    def test_synth_rejects_clips_extract_cannot_read(self, tmp_path, capsys, seconds, code):
+        # extract's 40 ms window is 1920 samples at 48 kHz; one window extracts
+        fix = tmp_path / "fix"
+        assert main(["synth", "--classes", "2", "--per-class", "2", "--seconds", seconds, "--out", str(fix)]) == code
+        if code:
+            samples = round(float(seconds) * 48000)
+            message = f"error: {seconds} s clips of {samples} samples are shorter than one 40 ms window of 1920 samples at 48000 Hz"
+            assert message in capsys.readouterr().err
+            assert not fix.exists()
+        else:
+            assert main(["extract", "--manifest", str(fix / "manifest.tsv"), "--audio-root", str(fix), "--out", str(tmp_path / "feat")]) == 0
+
+    @pytest.mark.parametrize("mult", ["0", "-1"])
+    def test_width_mult_below_1_exits_1(self, cli_dirs, tmp_path, capsys, mult):
+        _, feat, _ = cli_dirs
+        run = tmp_path / "run"
+        for argv in (
+            ["paramcount", "--model", "baseline", "--width-mult", mult],
+            ["train", "--features", str(feat), "--out", str(run), "--model", "baseline", "--width-mult", mult, "--epochs", "1", "--repeats", "1"],
+        ):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: width_multiplier {mult} is not an integer >= 1\n"
+        assert not run.exists()
+
+    @pytest.mark.parametrize("route", ["load_model", "predict"])
+    @pytest.mark.parametrize("dtype", ["float64", "int8", None])
+    def test_checkpoint_tensor_dtype_must_be_float32(self, cli_dirs, tmp_path, capsys, route, dtype):
+        _, feat, run = cli_dirs
+        blob = (run / "model.ssnw").read_bytes()
+        header_len = int.from_bytes(blob[4:8], "little")
+        header = json.loads(blob[8 : 8 + header_len])
+        entry = header["tensors"][1]
+        if dtype is None:
+            del entry["dtype"]
+        else:
+            entry["dtype"] = dtype
+        payload = json.dumps(header).encode()
+        damaged = tmp_path / "model.ssnw"
+        damaged.write_bytes(blob[:4] + len(payload).to_bytes(4, "little") + payload + blob[8 + header_len :])
+        message = f"{damaged}: tensor {entry['name']!r} has dtype {dtype!r}, not 'float32'"
+        if route == "load_model":
+            with pytest.raises(ContainerError, match=re.escape(message)):
+                load_model(damaged)
+        else:
+            assert main(["predict", "--checkpoint", str(damaged), "--features", str(feat / "test.ssnf")]) == 1
+            assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("shape, mismatch", [((1, 40), "1 channels, model expects 2"), ((2, 30), "30 mel bins, model expects 40")])
+    def test_geometry_mismatch_names_both_files(self, cli_dirs, tmp_path, capsys, command, shape, mismatch):
+        _, feat, run = cli_dirs
+        x, y = read_features(feat / "test.ssnf")
+        other = tmp_path / "feat"
+        other.mkdir()
+        (other / "labels.tsv").write_bytes((feat / "labels.tsv").read_bytes())
+        write_features(other / "test.ssnf", np.zeros((len(y), *shape, x.shape[3]), dtype=np.float32), y)
+        ckpt = run / "model.ssnw"
+        out = tmp_path / "out"
+        argv = {
+            "evaluate": ["evaluate", "--checkpoint", str(ckpt), "--features", str(other), "--out", str(out)],
+            "predict": ["predict", "--checkpoint", str(ckpt), "--features", str(other / "test.ssnf"), "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        assert f"error: {other / 'test.ssnf'}: input has {mismatch} ({ckpt})" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_written_table_is_rectangular_with_six_digit_numbers(self, cli_dirs, tmp_path):
+        _, feat, run = cli_dirs
+        ckpt = str(run / "model.ssnw")
+        assert main(["evaluate", "--checkpoint", ckpt, "--features", str(feat), "--out", str(tmp_path / "ev")]) == 0
+        assert main(["analyze", "--features", str(feat), "--out", str(tmp_path / "an")]) == 0
+        assert main(["predict", "--checkpoint", ckpt, "--features", str(feat / "test.ssnf"), "--out", str(tmp_path / "pred.tsv")]) == 0
+        tables = [*run.glob("*.tsv"), *tmp_path.glob("*/*.tsv"), tmp_path / "pred.tsv"]
+        # train and evaluate: report and 4 confusions each, and one curve; analyze: 1 + 3 histograms and 3 matrices
+        assert len(tables) == 6 + 5 + 7 + 1
+        numbers = 0
+        for path in tables:
+            text = path.read_text()
+            assert text.endswith("\n"), path
+            header, *rows = (line.split("\t") for line in text.split("\n")[:-1])
+            assert rows, path
+            for row in rows:
+                assert len(row) == len(header), path
+                for cell in row:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    assert f"{value:.6g}" == cell, (path, cell)
+                    numbers += 1
+        assert numbers > 100
 
 
 class TestEndToEndDeterminism:

@@ -14,10 +14,12 @@ from subspectral.storage import (
     read_class_names,
     read_features,
     read_normalizer,
+    table_text,
     write_checkpoint,
     write_class_names,
     write_features,
     write_normalizer,
+    write_table,
 )
 
 
@@ -153,6 +155,31 @@ class TestClassNames:
         path.write_text(text)
         with pytest.raises(ContainerError, match=re.escape(str(path))):
             read_class_names(path)
+
+
+class TestTable:
+    def test_floats_take_six_significant_digits(self):
+        values = [1 / 3, 2.5e-7, 123456789.0, 0.0, float("nan"), float("inf")]
+        for v in values + [np.float64(v) for v in values] + [np.float32(v) for v in values]:
+            assert table_text([[v]]) == f"{v:.6g}\n", repr(v)
+        cells = np.array([[0.1, 2 / 3]], dtype=np.float32)
+        assert table_text(cells) == f"{cells[0, 0]:.6g}\t{cells[0, 1]:.6g}\n" == "0.1\t0.666667\n"
+
+    def test_other_cells_are_written_with_str(self):
+        counts = np.array([[0, 1234567], [2**40, 3]], dtype=np.int64)
+        assert table_text(counts) == "0\t1234567\n1099511627776\t3\n"
+        assert table_text([[np.uint32(7), 8, "a b", None, True]]) == "7\t8\ta b\tNone\tTrue\n"
+
+    def test_header_comes_first_and_rows_may_be_any_iterable(self):
+        rows = ([i, i / 4] for i in range(2))
+        assert table_text(rows, ["n", "quarter"]) == "n\tquarter\n0\t0\n1\t0.25\n"
+
+    def test_empty_rows(self, tmp_path):
+        assert table_text([]) == ""
+        assert table_text([], ["a", "b"]) == "a\tb\n"
+        path = tmp_path / "t.tsv"
+        write_table(path, [], ["a", "b"])
+        assert path.read_text() == "a\tb\n"
 
 
 class TestCheckpoint:

@@ -5,12 +5,12 @@ import pytest
 
 from subspectral.models import build_model, load_model, model_description, multi_head_loss
 from subspectral.pipeline import load_feature_dir
+from subspectral.storage import write_class_matrix
 from subspectral.training import (
     TrainConfig,
     evaluate_model,
     predict_heads,
     train_model,
-    write_confusion_tsv,
     write_curves_tsv,
     write_report_tsv,
 )
@@ -201,7 +201,7 @@ class TestReportWriters:
         lines = (tmp_path / "report.tsv").read_text().strip().split("\n")
         assert lines[0] == "head\taccuracy\tn_samples"
         assert len(lines) == 1 + len(report.head_names)
-        write_confusion_tsv(tmp_path / "c.tsv", report.confusion["global"], data["class_names"])
+        write_class_matrix(tmp_path / "c.tsv", report.confusion["global"], data["class_names"])
         rows = (tmp_path / "c.tsv").read_text().strip().split("\n")
         assert len(rows) == 11
         write_curves_tsv(tmp_path / "curves.tsv", result.histories[0])
