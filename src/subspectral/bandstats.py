@@ -5,7 +5,9 @@ training features, run one nearest-mean classifier per mel bin over the
 test clips, collect per-class histograms of correctly classified bins,
 then turn pairwise histogram distances into a confusion-style matrix via
 max-normalize -> 1 - exp(-k*x) -> max-normalize -> 1 - x. Each split
-comes in as one (N, C, F, T) array.
+comes in as one (N, C, F, T) array, and each metric's distances for all
+class pairs are one array expression over the (classes, classes, bins)
+broadcast of the histograms.
 """
 
 from __future__ import annotations
@@ -128,51 +130,34 @@ def bin_histograms(test_set, labels, profiles: ClassProfileSet) -> BinHistogramS
     return BinHistogramSet(class_ids=list(profiles.class_ids), hist=normalized)
 
 
-def _mass_normalize(h: np.ndarray) -> np.ndarray:
-    total = h.sum()
-    if total <= 0:
-        raise ValueError("cannot mass-normalize an all-zero histogram")
-    return h / total
-
-
-def histogram_distance(p, q, metric: str) -> float:
-    """Distance between two non-negative histograms of equal length.
-
-    chisq operates on the inputs as given (0/0 bins contribute 0);
-    hellinger and kl first normalize both to unit mass, and kl smooths
-    with 1e-12 before taking logs.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError(f"histogram shapes differ: {p.shape} vs {q.shape}")
-    if np.any(p < 0) or np.any(q < 0):
-        raise ValueError("histograms must be non-negative")
-    if metric == "chisq":
-        denom = p + q
-        num = (p - q) ** 2
-        terms = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
-        return 0.5 * float(terms.sum())
-    if metric == "hellinger":
-        ph, qh = _mass_normalize(p), _mass_normalize(q)
-        return float(np.sqrt(np.sum((np.sqrt(ph) - np.sqrt(qh)) ** 2)) / np.sqrt(2.0))
-    if metric == "kl":
-        ph = _mass_normalize(p) + KL_SMOOTHING
-        qh = _mass_normalize(q) + KL_SMOOTHING
-        ph, qh = ph / ph.sum(), qh / qh.sum()
-        forward = np.sum(ph * np.log(ph / qh))
-        backward = np.sum(qh * np.log(qh / ph))
-        return 0.5 * float(forward + backward)
-    raise ValueError(f"unknown metric {metric!r}; pick from {METRICS}")
-
-
 def pairwise_distances(hists: BinHistogramSet, metric: str) -> np.ndarray:
-    n = len(hists.class_ids)
-    out = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = histogram_distance(hists.hist[i], hists.hist[j], metric)
-    return out
+    """Distance between every two class histograms, as an (n, n) matrix.
+
+    Each metric is one array expression over the (n, n, F) broadcast of
+    the rows against each other; every term is exactly zero on the
+    diagonal and exactly symmetric off it. chisq operates on the rows as
+    given (0/0 bins contribute 0); hellinger and kl first scale each row
+    to unit mass, and kl smooths with KL_SMOOTHING before taking logs.
+    """
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; pick from {METRICS}")
+    # C order keeps each (n, n, F) sum a pairwise sum along its own row
+    h = np.ascontiguousarray(hists.hist)
+    if metric == "chisq":
+        p, q = h[:, None], h[None]
+        num, denom = (p - q) ** 2, p + q
+        return 0.5 * np.divide(num, denom, out=np.zeros_like(num), where=denom > 0).sum(axis=-1)
+    total = h.sum(axis=1, keepdims=True)
+    if np.any(total <= 0):
+        raise ValueError("cannot mass-normalize an all-zero histogram")
+    h = h / total
+    if metric == "hellinger":
+        root = np.sqrt(h)
+        return np.sqrt(np.sum((root[:, None] - root[None]) ** 2, axis=-1)) / np.sqrt(2.0)
+    h = h + KL_SMOOTHING
+    h = h / h.sum(axis=1, keepdims=True)
+    p, q = h[:, None], h[None]
+    return 0.5 * (np.sum(p * np.log(p / q), axis=-1) + np.sum(q * np.log(q / p), axis=-1))
 
 
 def confusion_like_matrix(hists: BinHistogramSet, metric: str = "chisq", k: float = 10.0) -> DistanceMatrix:

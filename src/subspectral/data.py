@@ -161,6 +161,8 @@ def synth_fixture(
     if not 1 <= classes <= 10:
         raise ValueError("classes must be in 1..10")
     check_sample_rate(sample_rate)  # extract rejects the clips of any other rate
+    if not np.isfinite(seconds):
+        raise ValueError(f"clip length must be finite, got {seconds} s")
     n, win = int(round(seconds * sample_rate)), window_samples(sample_rate)
     if n < win:  # nor a clip shorter than one window
         raise ValueError(f"{seconds:g} s clips of {n} samples are shorter than one {WINDOW_MS:g} ms window of {win} samples at {sample_rate} Hz")

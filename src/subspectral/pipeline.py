@@ -107,10 +107,14 @@ def extract_dataset(
 
 def load_feature_dir(features_dir) -> dict:
     """Read back the features and class names that extract_dataset wrote;
-    every label must be a class id of labels.tsv."""
+    both splits must share one (C, F, T) sample shape, and every label
+    must be a class id of labels.tsv."""
     features_dir = Path(features_dir)
     train_x, train_y = storage.read_features(features_dir / TRAIN_FILE)
     test_x, test_y = storage.read_features(features_dir / TEST_FILE)
+    if test_x.shape[1:] != train_x.shape[1:]:
+        shape, train_shape = ("x".join(map(str, x.shape[1:])) for x in (test_x, train_x))
+        raise storage.ContainerError(f"{features_dir / TEST_FILE}: {shape} samples differ from the {train_shape} samples of {TRAIN_FILE}")
     class_names = storage.read_class_names(features_dir / LABELS_FILE)
     storage.check_labels(features_dir / TRAIN_FILE, train_y, len(class_names), LABELS_FILE)
     storage.check_labels(features_dir / TEST_FILE, test_y, len(class_names), LABELS_FILE)
@@ -129,20 +133,20 @@ def analyze_dataset(features_dir, out_dir, *, k: float = 10.0) -> dict:
     Builds class profiles from the train split, per-bin classification
     histograms from the test split, and writes the combined histogram
     table, one histogram file per class, and the transformed distance
-    matrix for each metric. Returns the in-memory artifacts.
+    matrix for each metric; it writes nothing, out_dir included, unless
+    every step succeeds. Returns the in-memory artifacts.
     """
     data = load_feature_dir(features_dir)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     class_names = data["class_names"]
     profiles = bandstats.class_mean_profiles(data["train_x"], data["train_y"], class_names)
     hists = bandstats.bin_histograms(data["test_x"], data["test_y"], profiles)
+    matrices = {metric: bandstats.confusion_like_matrix(hists, metric, k) for metric in bandstats.METRICS}
+    # made only now, so a failed analysis leaves no directory and no file
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     bandstats.write_histograms_tsv(out_dir / "histograms.tsv", hists)
     for idx, name in enumerate(class_names):
         bandstats.write_class_histogram_tsv(out_dir / f"hist_{name}.tsv", hists, idx)
-    matrices = {}
-    for metric in bandstats.METRICS:
-        matrix = bandstats.confusion_like_matrix(hists, metric, k)
-        matrices[metric] = matrix
+    for metric, matrix in matrices.items():
         storage.write_class_matrix(out_dir / f"matrix_{metric}.tsv", matrix.values, class_names)
     return {"profiles": profiles, "histograms": hists, "matrices": matrices}

@@ -77,9 +77,10 @@ def read_features(path) -> tuple[np.ndarray, np.ndarray]:
     version, n, c, f, t = struct.unpack("<5I", blob[4:24])
     if version != FEATURE_VERSION:
         raise ContainerError(f"{path}: unsupported feature container version {version}")
+    if 0 in (c, f, t):
+        raise ContainerError(f"{path}: a {c}x{f}x{t} sample holds no values")
     # exact sizes before any numpy type: numpy caps a record at 2 GiB and a
-    # dimension below 2**31, which past this check only n = 0 or an empty
-    # sample can reach
+    # dimension below 2**31, which past this check only n = 0 can reach
     if len(blob) != 24 + n * (4 + 4 * c * f * t):
         raise ContainerError(f"{path}: size {len(blob)} does not match header")
     try:

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subspectral.bandstats import (
+    KL_SMOOTHING,
     BinHistogramSet,
     ClassProfileSet,
     bin_histograms,
     class_mean_profiles,
     confusion_like_matrix,
-    histogram_distance,
     histogram_peak,
     most_alike_profiles,
     most_similar_pair,
@@ -171,6 +171,26 @@ class TestBinHistograms:
         assert np.all(hists.hist.max(axis=1) == 1.0)
 
 
+def histogram_distance(p, q, metric):
+    """Distance between two histograms: the off-diagonal entry of their
+    two-class pairwise_distances."""
+    return pairwise_distances(BinHistogramSet(class_ids=[0, 1], hist=np.array([p, q])), metric)[0, 1]
+
+
+def scalar_distance(p, q, metric):
+    """Per-pair reference: one histogram pair at a time, each row scaled
+    to unit mass on its own."""
+    if metric == "chisq":
+        num, denom = (p - q) ** 2, p + q
+        return 0.5 * float(np.divide(num, denom, out=np.zeros_like(num), where=denom > 0).sum())
+    p, q = p / p.sum(), q / q.sum()
+    if metric == "hellinger":
+        return float(np.sqrt(np.sum((np.sqrt(p) - np.sqrt(q)) ** 2)) / np.sqrt(2.0))
+    p, q = p + KL_SMOOTHING, q + KL_SMOOTHING
+    p, q = p / p.sum(), q / q.sum()
+    return 0.5 * float(np.sum(p * np.log(p / q)) + np.sum(q * np.log(q / p)))
+
+
 class TestHistogramDistance:
     def test_identical_histograms_are_zero(self, rng):
         h = rng.uniform(0, 1, 20)
@@ -188,7 +208,8 @@ class TestHistogramDistance:
         assert histogram_distance([1.0, 0.0], [0.5, 0.5], "chisq") == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_negative_entries_error(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        # BinHistogramSet, the only input of pairwise_distances, keeps every value in [0, 1]
+        with pytest.raises(ValueError, match="lie in"):
             histogram_distance([0.5, -0.1], [0.5, 0.5], "chisq")
 
     def test_unknown_metric(self):
@@ -207,6 +228,25 @@ class TestHistogramDistance:
             d_qp = histogram_distance(q, p, metric)
             assert d_pq >= 0
             assert d_pq == pytest.approx(d_qp, rel=1e-9, abs=1e-12)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matrix_equals_per_pair_reference_bytes(self, seed):
+        # random sets up to 10 classes x 256 bins, with empty bins and the
+        # 1/3-step ties that few test clips give
+        rng = np.random.default_rng(seed)
+        n, bins = int(rng.integers(2, 11)), int(rng.integers(1, 257))
+        hist = rng.integers(0, 4, (n, bins)) / 3.0 if seed % 2 else rng.uniform(0, 1, (n, bins))
+        hist[rng.uniform(size=hist.shape) < 0.3] = 0.0
+        hist[:, rng.integers(0, bins)] = 1.0
+        hists = BinHistogramSet(class_ids=list(range(n)), hist=hist)
+        for metric in ("chisq", "kl", "hellinger"):
+            reference = np.zeros((n, n))
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        reference[i, j] = scalar_distance(hist[i], hist[j], metric)
+            assert pairwise_distances(hists, metric).tobytes() == reference.tobytes()
 
 
 def toy_hists():

@@ -4,8 +4,10 @@ Each property writes one valid file, damages it by truncation, a
 single-bit flip or an inflated u32 header field, and reads it back. The
 reader must either return or raise its typed error, never a bare numpy,
 struct or JSON error: ContainerError for .ssnf, normalizer.bin and .ssnw,
-WavFormatError or UnsupportedWavError for WAV files. A checkpoint whose
-model description holds a bad value must make predict exit 1 naming it.
+WavFormatError or UnsupportedWavError for WAV files; a .ssnf that reads
+holds C, F, T >= 1, also for written samples with a zero axis. A
+checkpoint whose model description holds a bad value must make predict
+exit 1 naming it.
 """
 
 import contextlib
@@ -56,29 +58,40 @@ def damaged(draw, blob: bytes, u32_offsets):
     return bytes(data)
 
 
-def fuzz_reader(path, reader, errors, u32_offsets):
-    """Every damaged copy of the valid file at path reads, or raises one
-    of errors."""
+def fuzz_reader(path, reader, errors, u32_offsets, examples=(), accept=lambda result: None):
+    """Every damaged copy of the valid file at path, and every blob of
+    examples, reads and passes accept, or raises one of errors."""
     blob = path.read_bytes()
     target = path.with_name("damaged" + path.suffix)
 
-    @FUZZ
-    @given(st.data())
-    def check(data):
-        target.write_bytes(data.draw(damaged(blob, u32_offsets)))
+    def check(candidate):
+        target.write_bytes(candidate)
         try:
-            reader(target)
+            result = reader(target)
         except errors:
-            pass
+            return
+        accept(result)
 
-    check()
+    for candidate in examples:
+        check = example(candidate)(check)
+    FUZZ(given(damaged(blob, u32_offsets))(check))()
+
+
+def has_values(result):
+    """A .ssnf read back holds C, F, T >= 1 values per sample."""
+    features, _ = result
+    assert min(features.shape[1:]) >= 1, features.shape
 
 
 @pytest.mark.parametrize("n", [0, 2])
 def test_feature_container(tmp_path, n):
     path = tmp_path / "valid.ssnf"
+    examples = []
+    for shape in [(n, 0, 3, 4), (n, 2, 0, 4), (n, 2, 3, 0)]:  # a sample with C, F or T = 0
+        write_features(path, np.zeros(shape), np.arange(n))
+        examples.append(path.read_bytes())
     write_features(path, np.random.default_rng(0).standard_normal((n, 2, 3, 4)), np.arange(n))
-    fuzz_reader(path, read_features, ContainerError, [4, 8, 12, 16, 20])
+    fuzz_reader(path, read_features, ContainerError, [4, 8, 12, 16, 20], examples, has_values)
 
 
 def test_normalizer(tmp_path):

@@ -482,6 +482,64 @@ class TestCli:
         assert f"error: {other / 'test.ssnf'}: input has {mismatch} ({ckpt})" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", ["0", "-1", "nan", "inf"])
+    def test_failed_analyze_writes_nothing(self, cli_dirs, tmp_path, capsys, k):
+        _, feat, _ = cli_dirs
+        out = tmp_path / "an"
+        assert main(["analyze", "--features", str(feat), "--out", str(out), f"--k={k}"]) == 1
+        assert capsys.readouterr().err == f"error: k must be finite and positive, got {float(k)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seconds", ["inf", "-inf", "nan"])
+    def test_synth_rejects_non_finite_seconds(self, tmp_path, capsys, seconds):
+        fix = tmp_path / "fix"
+        assert main(["synth", "--classes", "2", "--per-class", "2", f"--seconds={seconds}", "--out", str(fix)]) == 1
+        assert capsys.readouterr().err == f"error: clip length must be finite, got {float(seconds)} s\n"
+        assert not fix.exists()
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_sample_without_values_exits_1(self, cli_dirs, tmp_path, capsys, command, axis):
+        # both splits with C, F or T = 0; train reads train.ssnf first
+        _, feat, run = cli_dirs
+        bad = tmp_path / "feat"
+        bad.mkdir()
+        (bad / "labels.tsv").write_bytes((feat / "labels.tsv").read_bytes())
+        for name in ("train.ssnf", "test.ssnf"):
+            x, y = read_features(feat / name)
+            write_features(bad / name, np.take(x, [], axis=axis), y)
+        shape = "x".join(str(0 if a == axis else d) for a, d in enumerate(x.shape) if a)
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--features", str(bad), "--out", str(out), "--epochs", "1", "--repeats", "1"],
+            "predict": ["predict", "--checkpoint", str(run / "model.ssnw"), "--features", str(bad / "test.ssnf"), "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        path = bad / ("train.ssnf" if command == "train" else "test.ssnf")
+        assert capsys.readouterr().err == f"error: {path}: a {shape} sample holds no values\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    def test_splits_of_other_shapes_exit_1(self, cli_dirs, tmp_path, capsys, command):
+        # a test split of twice the train split's frames
+        _, feat, _ = cli_dirs
+        bad = tmp_path / "feat"
+        bad.mkdir()
+        for name in ("train.ssnf", "normalizer.bin", "labels.tsv"):
+            (bad / name).write_bytes((feat / name).read_bytes())
+        x, y = read_features(feat / "test.ssnf")
+        write_features(bad / "test.ssnf", np.concatenate([x, x], axis=3), y)
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--features", str(bad), "--out", str(out), "--epochs", "1", "--repeats", "1"],
+            "analyze": ["analyze", "--features", str(bad), "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        c, f, t = x.shape[1:]
+        message = f"error: {bad / 'test.ssnf'}: {c}x{f}x{2 * t} samples differ from the {c}x{f}x{t} samples of train.ssnf\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     def test_every_written_table_is_rectangular_with_six_digit_numbers(self, cli_dirs, tmp_path):
         _, feat, run = cli_dirs
         ckpt = str(run / "model.ssnw")

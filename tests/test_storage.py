@@ -88,6 +88,14 @@ class TestFeatureContainer:
         with pytest.raises(ContainerError, match=re.escape(str(path))):
             read_features(path)
 
+    @pytest.mark.parametrize("n", [0, 2])
+    @pytest.mark.parametrize("c, f, t", [(0, 2, 3), (1, 0, 3), (1, 2, 0)])
+    def test_sample_without_values_raises_container_error(self, tmp_path, n, c, f, t):
+        path = tmp_path / "f.ssnf"
+        write_features(path, np.zeros((n, c, f, t)), np.zeros(n))
+        with pytest.raises(ContainerError, match=re.escape(f"{path}: a {c}x{f}x{t} sample holds no values")):
+            read_features(path)
+
     def test_label_count_mismatch(self, tmp_path, rng):
         with pytest.raises(ValueError, match="labels"):
             write_features(tmp_path / "f.ssnf", rng.standard_normal((2, 1, 2, 2)), np.zeros(3))
