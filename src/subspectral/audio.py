@@ -70,19 +70,28 @@ def _parse_fmt(body: bytes) -> tuple[int, int, int, int]:
     return tag, channels, rate, bits
 
 
-def _decode_pcm(payload: bytes, bits: int, fmt_tag: int) -> np.ndarray:
+def _decode_pcm(payload: bytes, bits: int, fmt_tag: int, channels: int) -> np.ndarray:
+    """Decode interleaved PCM straight into a C-contiguous (channels, n)
+    float64 array in [-1, 1], scaled or clipped in place."""
     if fmt_tag == WAVE_FORMAT_IEEE_FLOAT:
-        return np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    if bits == 16:
-        return np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
-    if bits == 32:
-        return np.frombuffer(payload, dtype="<i4").astype(np.float64) / 2147483648.0
-    # 24-bit: widen each 3-byte sample to 4 bytes, then arithmetic-shift
-    # to sign-extend
-    raw = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
-    wide = np.zeros((raw.shape[0], 4), dtype=np.uint8)
-    wide[:, 1:] = raw
-    return (wide.view("<i4")[:, 0] >> 8).astype(np.float64) / 8388608.0
+        raw, scale = np.frombuffer(payload, dtype="<f4"), None
+    elif bits == 16:
+        raw, scale = np.frombuffer(payload, dtype="<i2"), 32768.0
+    elif bits == 32:
+        raw, scale = np.frombuffer(payload, dtype="<i4"), 2147483648.0
+    else:
+        # 24-bit: widen each 3-byte sample to 4 bytes, then arithmetic-shift
+        # to sign-extend
+        wide = np.zeros((len(payload) // 3, 4), dtype=np.uint8)
+        wide[:, 1:] = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
+        raw, scale = wide.view("<i4")[:, 0] >> 8, 8388608.0
+    samples = np.empty((channels, raw.size // channels))
+    np.copyto(samples, raw.reshape(-1, channels).T)
+    if scale is None:
+        np.clip(samples, -1.0, 1.0, out=samples)
+    else:
+        samples /= scale
+    return samples
 
 
 def load_wav(path) -> AudioClip:
@@ -133,11 +142,7 @@ def load_wav(path) -> AudioClip:
     if len(payload) % frame_size != 0:
         raise WavFormatError(f"{path}: data size {len(payload)} not a multiple of frame size {frame_size}")
 
-    flat = _decode_pcm(payload, bits, tag)
-    if tag == WAVE_FORMAT_IEEE_FLOAT:
-        flat = np.clip(flat, -1.0, 1.0)
-    samples = np.ascontiguousarray(flat.reshape(-1, channels).T)
-    return AudioClip(samples=samples, sample_rate=rate)
+    return AudioClip(samples=_decode_pcm(payload, bits, tag, channels), sample_rate=rate)
 
 
 def save_wav(path, clip: AudioClip, bits: int | str = 16) -> None:

@@ -9,6 +9,11 @@ the FFT) and mel counts with a filter that covers no FFT bin are rejected.
 Features are plain float32 arrays: one clip is (C, F, T), a split is one
 stacked (N, C, F, T) array, and the normalizer is fitted on and applied
 to that stack.
+
+Threads: a clip whose frames reach nn.functional.SPLIT_FLOOR bytes a
+channel (10 s stereo) runs its frontend over channel parts on the calling
+thread and one helper (_in_parts); the helpers only call numpy, into
+arrays the calling thread allocated.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .nn.functional import _in_parts
 
 FFT_SIZE = 2048
 WINDOW_MS = 40.0
@@ -128,6 +135,14 @@ def log_mel_spectrogram(clip, filterbank: np.ndarray) -> np.ndarray:
     filterbank is mel_filterbank(n_mels, clip.sample_rate), built once per
     rate. Frames are centered at multiples of the hop (reflect padding);
     there are n // hop of them (500 for 10 s at 48 kHz).
+
+    Padding, framing, windowing, rfft, power and the mel GEMM run over
+    _in_parts' channel parts (nn.functional), each part in one pass over
+    its channels, writing into slices of arrays this thread allocated:
+    a 10 s stereo clip at 48 kHz (7.7 MB of frames a channel) splits over
+    two threads, a 1 s or mono clip runs whole here. The log, the layout
+    and the checks stay on this thread; the bits do not depend on the
+    threads.
     """
     sr = clip.sample_rate
     check_sample_rate(sr)
@@ -138,14 +153,34 @@ def log_mel_spectrogram(clip, filterbank: np.ndarray) -> np.ndarray:
     if np.isnan(clip.samples).any():
         raise ValueError("clip contains NaN samples")
 
-    n_frames = clip.n_samples // hop
-    padded = np.pad(clip.samples, ((0, 0), (win // 2, win - win // 2)), mode="reflect")
-    frames = np.lib.stride_tricks.sliding_window_view(padded, win, axis=1)[:, : n_frames * hop : hop]
-    spectrum = np.fft.rfft(frames * hamming_window(sr), n=FFT_SIZE, axis=2)
-    energies = (np.abs(spectrum) ** 2) @ filterbank.T  # (C, T, F)
+    c, n = clip.samples.shape
+    n_frames = n // hop
+    lead, tail = win // 2, win - win // 2
+    padded = np.empty((c, n + win))
+    frames = np.empty((c, n_frames, win))
+    spectrum = np.empty((c, n_frames, FFT_SIZE // 2 + 1), dtype=np.complex128)
+    power = np.empty(spectrum.shape)
+    energies = np.empty((c, n_frames, filterbank.shape[0]))  # (C, T, F)
+    window = hamming_window(sr)
+
+    def part(lo, hi):
+        x = clip.samples[lo:hi]
+        # reflect padding, as np.pad(mode="reflect") writes it
+        padded[lo:hi, lead : lead + n] = x
+        padded[lo:hi, :lead] = x[:, lead - np.arange(lead)]
+        padded[lo:hi, lead + n :] = x[:, n - 2 - np.arange(tail)]
+        strided = np.lib.stride_tricks.sliding_window_view(padded[lo:hi], win, axis=1)[:, : n_frames * hop : hop]
+        np.multiply(strided, window, out=frames[lo:hi])
+        np.fft.rfft(frames[lo:hi], n=FFT_SIZE, axis=2, out=spectrum[lo:hi])
+        np.abs(spectrum[lo:hi], out=power[lo:hi])
+        np.square(power[lo:hi], out=power[lo:hi])
+        np.matmul(power[lo:hi], filterbank.T, out=energies[lo:hi])
+
+    _in_parts(c, frames.nbytes, part)
+    energies += LOG_FLOOR
     # a (C, F, T) view of (C, T, F) memory: fit_normalizer's summation
     # order, and so the bits of its statistics, depend on this layout
-    spec = np.log(energies + LOG_FLOOR).transpose(0, 2, 1).astype(np.float32)
+    spec = np.log(energies, out=energies).transpose(0, 2, 1).astype(np.float32)
     if not np.all(np.isfinite(spec)):
         raise ValueError("spectrogram contains non-finite values")
     return spec

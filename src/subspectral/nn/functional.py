@@ -19,9 +19,12 @@ channel, and ReLU and max-pool by sample, into WORKERS parts on the same
 threads when each part's numpy calls touch at least SPLIT_FLOOR bytes
 (_in_parts); each part runs the kernel's whole chain for its channels or
 samples, so the float operations and their order are those of one call.
-In both, the calling thread allocates every full-size array and the
-helpers write into slices of them, and the helpers call only numpy. The
-bits do not depend on the threads.
+The log-mel frontend (features.log_mel_spectrogram) is the third user of
+_in_parts: it splits a clip by channel when each channel's frames reach
+SPLIT_FLOOR (10 s stereo; 1 s and mono clips run whole). In all of them,
+the calling thread allocates every full-size array and the helpers write
+into slices of them, and the helpers call only numpy. The bits do not
+depend on the threads.
 """
 
 from __future__ import annotations
@@ -44,8 +47,10 @@ COLS_BUDGET = 24 * 2**20
 # Threads that share COLS_BUDGET: the calling thread and WORKERS - 1
 # helpers, each started for one batch of slabs and joined before the next.
 WORKERS = 2
-# Bytes that each part's numpy calls must touch before batch norm, ReLU or
-# max-pool splits over the WORKERS threads (_in_parts). 2 MiB splits the
+# Bytes that each part's numpy calls must touch before batch norm, ReLU,
+# max-pool or the log-mel frontend splits over the WORKERS threads
+# (_in_parts). A 10 s 48 kHz channel has 7.7 MB of frames, a 1 s one
+# 0.77 MB, so only 10 s stereo clips split the frontend. 2 MiB splits the
 # 10 s clips' first-block kernels and keeps every 1 s geometry's tensors
 # (the largest, desk-40's eval batch norm, is 3.84 MB: 1.92 MB a half) and
 # the 10 s second-block ones on the calling thread. A 512 KiB floor, which

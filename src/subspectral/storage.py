@@ -58,6 +58,9 @@ def write_features(path, features: np.ndarray, labels) -> None:
     if labels.shape != (features.shape[0],):
         raise ValueError(f"{labels.shape[0]} labels for {features.shape[0]} samples")
     n, c, f, t = features.shape
+    if 0 in (c, f, t):
+        # read_features rejects such a header, so none is written
+        raise ValueError(f"a {c}x{f}x{t} sample holds no values")
     records = np.empty(n, dtype=_feature_record(c, f, t))
     records["label"] = labels
     records["x"] = features

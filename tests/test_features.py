@@ -1,5 +1,8 @@
 """Feature extraction tests: framing policy, filterbank, normalization."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from subspectral.features import (
     mel_to_hz,
     window_samples,
 )
+from subspectral.nn import functional
 
 SR = 48000
 
@@ -152,6 +156,51 @@ class TestLogMel:
         mono = log_mel_spectrogram(AudioClip(samples=left[None], sample_rate=SR), FB40)
         np.testing.assert_array_equal(spec[0], mono[0])
         np.testing.assert_allclose(spec[1], np.log(LOG_FLOOR), rtol=1e-6)
+
+
+
+# md5 of log_mel_spectrogram's bytes for uniform noise (seed 7) before the
+# frontend ran over channel parts: (channels, samples, mel bins, rate) ->
+# digest. The FFT, log and GEMM bits are those of this numpy 2.4 /
+# OpenBLAS 0.3.31 build. 480437 and 48437 samples are not multiples of the
+# 960-sample hop; at 11025 Hz the window is 2 * hop + 1 samples, so the
+# last frame reads the reflected tail.
+FRONTEND_MD5 = {
+    (2, 480000, 40, SR): "d794bef0eb200143a7f640c2365e5813",
+    (2, 480000, 200, SR): "91aa936daefc6c705dce1b3928d72e57",
+    (2, 48000, 40, SR): "aad9318da9454433929501a9918b955b",
+    (2, 48000, 200, SR): "06dab30f57180b542cc1c3de8d8e6c80",
+    (1, 480000, 40, SR): "7265d1002150156f32693f865c41d343",
+    (1, 48000, 200, SR): "77a49f211282ca5726c52f06a99ed344",
+    (2, 480437, 40, SR): "ca2693a1ae1b3e6d0f6b72cc5d672f18",
+    (1, 48437, 40, SR): "3047b82387df47435c626e0ae9caa116",
+    (2, 22000, 40, 11025): "fe61667c434d7387078cae367daddca6",
+}
+
+
+def noise_clip(channels, n_samples, sample_rate=SR):
+    return AudioClip(samples=np.random.default_rng(7).uniform(-0.5, 0.5, (channels, n_samples)), sample_rate=sample_rate)
+
+
+class TestFrontendParts:
+    @pytest.mark.parametrize("floor", [0, math.inf])
+    @pytest.mark.parametrize("channels, n_samples, mels, sample_rate", list(FRONTEND_MD5))
+    def test_bytes_and_layout_do_not_depend_on_split(self, monkeypatch, floor, channels, n_samples, mels, sample_rate):
+        monkeypatch.setattr(functional, "SPLIT_FLOOR", floor)
+        spec = log_mel_spectrogram(noise_clip(channels, n_samples, sample_rate), mel_filterbank(mels, sample_rate))
+        assert hashlib.md5(spec.tobytes()).hexdigest() == FRONTEND_MD5[channels, n_samples, mels, sample_rate]
+        # (C, F, T) over (C, T, F) memory: fit_normalizer's bits depend on it
+        t = n_samples // hop_samples(sample_rate)
+        assert spec.shape == (channels, mels, t)
+        assert spec.strides == ((t * mels * 4 if channels > 1 else 4), 4, mels * 4)
+
+    @pytest.mark.parametrize("channels, n_samples, splits", [(2, 480000, True), (2, 48000, False), (1, 480000, False)])
+    def test_only_ten_second_stereo_splits(self, monkeypatch, channels, n_samples, splits):
+        parts = []
+        run_at_once = functional._run_at_once
+        monkeypatch.setattr(functional, "_run_at_once", lambda job, arglists: parts.append(arglists) or run_at_once(job, arglists))
+        log_mel_spectrogram(noise_clip(channels, n_samples), FB40)
+        assert parts == ([[(0, 1), (1, 2)]] if splits else [])
 
 
 def const_spec(value, shape=(2, 4, 6)):

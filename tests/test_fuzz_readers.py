@@ -88,8 +88,8 @@ def test_feature_container(tmp_path, n):
     path = tmp_path / "valid.ssnf"
     examples = []
     for shape in [(n, 0, 3, 4), (n, 2, 0, 4), (n, 2, 3, 0)]:  # a sample with C, F or T = 0
-        write_features(path, np.zeros(shape), np.arange(n))
-        examples.append(path.read_bytes())
+        # written by hand: write_features refuses such a shape
+        examples.append(b"SSNF" + struct.pack("<5I", 1, *shape) + np.arange(n, dtype="<u4").tobytes())
     write_features(path, np.random.default_rng(0).standard_normal((n, 2, 3, 4)), np.arange(n))
     fuzz_reader(path, read_features, ContainerError, [4, 8, 12, 16, 20], examples, has_values)
 

@@ -91,10 +91,19 @@ class TestFeatureContainer:
     @pytest.mark.parametrize("n", [0, 2])
     @pytest.mark.parametrize("c, f, t", [(0, 2, 3), (1, 0, 3), (1, 2, 0)])
     def test_sample_without_values_raises_container_error(self, tmp_path, n, c, f, t):
+        # written by hand: write_features refuses such a shape
         path = tmp_path / "f.ssnf"
-        write_features(path, np.zeros((n, c, f, t)), np.zeros(n))
+        path.write_bytes(b"SSNF" + struct.pack("<5I", 1, n, c, f, t) + b"\x00" * 4 * n)
         with pytest.raises(ContainerError, match=re.escape(f"{path}: a {c}x{f}x{t} sample holds no values")):
             read_features(path)
+
+    @pytest.mark.parametrize("n", [0, 2])
+    @pytest.mark.parametrize("c, f, t", [(0, 2, 3), (1, 0, 3), (1, 2, 0)])
+    def test_write_refuses_sample_without_values(self, tmp_path, n, c, f, t):
+        path = tmp_path / "f.ssnf"
+        with pytest.raises(ValueError, match=re.escape(f"a {c}x{f}x{t} sample holds no values")):
+            write_features(path, np.zeros((n, c, f, t)), np.zeros(n))
+        assert not path.exists()
 
     def test_label_count_mismatch(self, tmp_path, rng):
         with pytest.raises(ValueError, match="labels"):
