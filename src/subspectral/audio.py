@@ -145,33 +145,47 @@ def load_wav(path) -> AudioClip:
     return AudioClip(samples=_decode_pcm(payload, bits, tag, channels), sample_rate=rate)
 
 
+# frames encoded per write: 64 Ki stereo frames are 1 MiB of float64, so
+# the writer's arrays stay small whatever the clip's length, also when it
+# runs on a helper thread whose malloc arena keeps what it frees
+WRITE_FRAMES = 2**16
+
+
+def _encode(samples: np.ndarray, bits: int | str) -> np.ndarray:
+    """Interleaved little-endian samples of a (channels, n) block, clipped
+    to [-1, 1]: float32, or integer PCM of the given bit depth."""
+    x = np.clip(samples.T, -1.0, 1.0, out=np.empty(samples.shape[::-1]))
+    if bits == "float32":
+        return x.astype("<f4")
+    # x in [-1, 1] rounds to an integer within the depth's range
+    x *= 2.0 ** (bits - 1) - 1
+    q = np.rint(x, out=x).astype("<i2" if bits == 16 else "<i4")
+    return np.ascontiguousarray(q.view(np.uint8).reshape(-1, 4)[:, :3]) if bits == 24 else q
+
+
 def save_wav(path, clip: AudioClip, bits: int | str = 16) -> None:
-    """Write an AudioClip as PCM WAV (16/24/32-bit int or 'float32')."""
-    x = np.clip(clip.samples, -1.0, 1.0)
-    interleaved = x.T.reshape(-1)
+    """Write an AudioClip as PCM WAV (16/24/32-bit int or 'float32').
+
+    Samples are clipped to [-1, 1]; NaN samples raise ValueError before
+    the file is opened.
+    """
     if bits == "float32":
         tag, nbits = WAVE_FORMAT_IEEE_FLOAT, 32
-        raw = interleaved.astype("<f4").tobytes()
-    elif bits == 16:
-        tag, nbits = WAVE_FORMAT_PCM, 16
-        raw = np.clip(np.rint(interleaved * 32767.0), -32768, 32767).astype("<i2").tobytes()
-    elif bits == 24:
-        tag, nbits = WAVE_FORMAT_PCM, 24
-        q = np.clip(np.rint(interleaved * 8388607.0), -8388608, 8388607).astype("<i4")
-        raw = q.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
-    elif bits == 32:
-        tag, nbits = WAVE_FORMAT_PCM, 32
-        q = np.clip(np.rint(interleaved * 2147483647.0), -2147483648, 2147483647)
-        raw = q.astype("<i4").tobytes()
+    elif bits in (16, 24, 32):
+        tag, nbits = WAVE_FORMAT_PCM, int(bits)
     else:
         raise ValueError(f"unsupported bit depth {bits!r}")
+    samples = clip.samples
+    if samples.size and np.isnan(samples.min()):  # min propagates NaN
+        raise ValueError(f"{path}: NaN samples have no PCM value")
 
-    channels = clip.channels
+    channels, n = samples.shape
     block_align = channels * nbits // 8
+    size = n * block_align
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
-        36 + len(raw),
+        36 + size,
         b"WAVE",
         b"fmt ",
         16,
@@ -182,10 +196,14 @@ def save_wav(path, clip: AudioClip, bits: int | str = 16) -> None:
         block_align,
         nbits,
         b"data",
-        len(raw),
+        size,
     )
-    pad = b"\x00" if len(raw) & 1 else b""
-    Path(path).write_bytes(header + raw + pad)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for lo in range(0, n, WRITE_FRAMES):
+            fh.write(_encode(samples[:, lo : lo + WRITE_FRAMES], bits))
+        if size & 1:
+            fh.write(b"\x00")
 
 
 def to_mono(clip: AudioClip) -> AudioClip:

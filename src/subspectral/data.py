@@ -10,6 +10,12 @@ activation profiles the most alike pair of classes. The per-bin
 histogram matrices of bandstats do not single the twins out at desk
 sizes: with a few test clips per class, chance hits in out-of-band bins
 carry about as much mass as the in-band bins.
+
+Synthesis runs on two threads, one clip apart: the calling thread makes
+each clip's random draws (_draw_clip) from the one STREAM_SYNTH
+generator, in stream order, while one helper shapes the clip before it
+(_shape_clip) and writes its WAV. The shaping draws nothing, so the
+bytes are those of one thread.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 
 from .audio import AudioClip, save_wav
 from .features import WINDOW_MS, check_sample_rate, hz_to_mel, mel_to_hz, window_samples
+from .nn.functional import _run_at_once
 from .seeding import STREAM_SYNTH, philox_rng
 from .storage import write_table
 
@@ -116,25 +123,51 @@ def fixture_bands(classes: int, f_max: float, overlap_pair: bool = True) -> list
     return bands
 
 
-def _band_noise(rng: np.random.Generator, n: int, sr: int, band: tuple[float, float], channels: int) -> np.ndarray:
+def _draw_clip(rng: np.random.Generator, n: int, mel_band: tuple[float, float], mel_top: float, channels: int):
+    """One clip's random draws, in stream order: the band edges in Hz
+    (jittered on the mel scale), the white noise the band signal is
+    shaped from, the broadband floor and the band signal's gain."""
+    m_lo, m_hi = mel_band
+    # jitter both band edges per clip (+-12.5% of the band width, on the
+    # mel scale) so bins at the nominal edges are only sometimes excited;
+    # the band core stays informative
+    j_lo, j_hi = rng.uniform(-0.125, 0.125, 2) * (m_hi - m_lo)
+    band = (
+        float(mel_to_hz(min(max(m_lo + j_lo, 0.0), mel_top))),
+        float(mel_to_hz(min(max(m_hi + j_hi, 0.0), mel_top))),
+    )
     white = rng.standard_normal((channels, n))
-    spectrum = np.fft.rfft(white, axis=1)
-    freqs = np.fft.rfftfreq(n, d=1.0 / sr)
-    spectrum *= (freqs >= band[0]) & (freqs < band[1])
-    shaped = np.fft.irfft(spectrum, n=n, axis=1)
-    rms = np.sqrt(np.mean(shaped**2, axis=1, keepdims=True))
-    shaped = np.divide(shaped, rms, out=np.zeros_like(shaped), where=rms > 0) * 0.1
     # broadband floor 10 dB below the band signal's total power, which
     # leaves in-band mel bins 3-7 nats (13-29 dB) above it at unit gain:
     # loud enough to swamp the STFT window's sidelobe leakage, so a
     # class's mean log-mel two or more bins outside its band stays within
     # ~0.15 nats of a floor-only clip instead of carrying class information
-    floor = rng.standard_normal((channels, n)) * 3e-2
+    floor = rng.standard_normal((channels, n))
+    floor *= 3e-2
     # per-clip loudness jitter (+-6 dB, +-1.39 nats of log power) on the
     # band signal only: scaling the floor too would give every
     # out-of-band bin of a clip a shared loudness cue
     gain = np.exp(rng.uniform(np.log(0.5), np.log(2.0)))
-    return np.clip(gain * shaped + floor, -0.99, 0.99)
+    return band, white, floor, gain
+
+
+def _shape_clip(band: tuple[float, float], white: np.ndarray, floor: np.ndarray, gain, freqs: np.ndarray, spectrum: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """The clip's samples from its draws, deterministic: white noise kept
+    to the band [lo, hi) Hz of the rfft bin frequencies freqs, scaled to
+    0.1 rms per channel, times gain, plus the floor, clipped to +-0.99.
+    Written over white's buffer and returned; spectrum and squares are
+    scratch arrays of the rfft's and white's shapes."""
+    np.fft.rfft(white, axis=1, out=spectrum)
+    spectrum *= (freqs >= band[0]) & (freqs < band[1])
+    shaped = np.fft.irfft(spectrum, n=white.shape[1], axis=1, out=white)
+    rms = np.sqrt(np.mean(np.square(shaped, out=squares), axis=1, keepdims=True))
+    live = rms > 0
+    np.divide(shaped, rms, out=shaped, where=live)
+    shaped[~live[:, 0]] = 0.0  # a band with no bins: silence under the floor
+    shaped *= 0.1
+    shaped *= gain
+    shaped += floor
+    return np.clip(shaped, -0.99, 0.99, out=shaped)
 
 
 def synth_fixture(
@@ -154,9 +187,12 @@ def synth_fixture(
     per_class counts clips per class in total; the trailing
     test_per_class of them (default max(1, per_class // 4)) land in the
     test split. sample_rate must be one the feature frontend takes (up
-    to 51.2 kHz), and seconds at least its 40 ms window. Deterministic
-    for a fixed seed, down to the bytes. Writes manifest.tsv and
-    fixture.json (band metadata) into out_dir.
+    to 51.2 kHz), seconds at least its 40 ms window, and channels 1 or
+    2. Deterministic for a fixed seed, down to the bytes, though clip
+    k + 1 is drawn on the calling thread while a helper thread
+    (nn.functional._run_at_once) shapes and writes clip k. Writes
+    manifest.tsv and fixture.json (band metadata) into out_dir, the
+    manifest only once every clip is written.
     """
     if not 1 <= classes <= 10:
         raise ValueError("classes must be in 1..10")
@@ -170,30 +206,40 @@ def synth_fixture(
         test_per_class = max(1, per_class // 4)
     if not 0 < test_per_class < per_class:
         raise ValueError(f"need 0 < test_per_class ({test_per_class}) < per_class ({per_class})")
+    if channels not in (1, 2):
+        raise ValueError(f"channels must be 1 (mono) or 2 (stereo), got {channels!r}")
     out_dir = Path(out_dir)
     (out_dir / "audio").mkdir(parents=True, exist_ok=True)
     bands = fixture_bands(classes, sample_rate / 2.0, overlap_pair)
     mel_top = float(hz_to_mel(sample_rate / 2.0))
+    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+    # the helper's full-size scratch, allocated once on this thread: what a
+    # helper thread frees stays in its own malloc arena, unused by the
+    # stages after synthesis (10 MB more peak RSS in a 10 s stereo run)
+    spectrum, squares = np.empty((channels, freqs.size), np.complex128), np.empty((channels, n))
     rng = philox_rng(seed, STREAM_SYNTH)
-    entries = []
     names = [f"band{c:02d}" for c in range(classes)]
-    for c in range(classes):
-        m_lo, m_hi = float(hz_to_mel(bands[c][0])), float(hz_to_mel(bands[c][1]))
-        width = m_hi - m_lo
-        for i in range(per_class):
-            # jitter both band edges per clip (+-12.5% of the band width,
-            # on the mel scale) so bins at the nominal edges are only
-            # sometimes excited; the band core stays informative
-            j_lo, j_hi = rng.uniform(-0.125, 0.125, 2) * width
-            clip_band = (
-                float(mel_to_hz(min(max(m_lo + j_lo, 0.0), mel_top))),
-                float(mel_to_hz(min(max(m_hi + j_hi, 0.0), mel_top))),
-            )
-            samples = _band_noise(rng, n, sample_rate, clip_band, channels)
-            rel = f"audio/{names[c]}-{i:03d}.wav"
-            save_wav(out_dir / rel, AudioClip(samples=samples, sample_rate=sample_rate), bits=16)
-            split = "test" if i >= per_class - test_per_class else "train"
-            entries.append(ManifestEntry(path=rel, label=names[c], split=split))
+    mel_bands = [(float(hz_to_mel(lo)), float(hz_to_mel(hi))) for lo, hi in bands]
+    clips = [(c, i) for c in range(classes) for i in range(per_class)]
+    entries = [
+        ManifestEntry(path=f"audio/{names[c]}-{i:03d}.wav", label=names[c], split="test" if i >= per_class - test_per_class else "train")
+        for c, i in clips
+    ]
+    drawn = {}
+
+    def draw(k):
+        drawn[k] = _draw_clip(rng, n, mel_bands[clips[k][0]], mel_top, channels)
+
+    def write(k):
+        samples = _shape_clip(*drawn.pop(k), freqs, spectrum, squares)
+        save_wav(out_dir / entries[k].path, AudioClip(samples=samples, sample_rate=sample_rate), bits=16)
+
+    # the calling thread draws clip k + 1, in stream order, while one
+    # helper shapes and writes clip k
+    draw(0)
+    for k in range(len(clips)):
+        steps = [(draw, k + 1)] if k + 1 < len(clips) else []
+        _run_at_once(lambda step, k: step(k), steps + [(write, k)])
     manifest = DatasetManifest(entries=entries, class_names=names)
     write_manifest(out_dir / "manifest.tsv", manifest)
     meta = {

@@ -23,8 +23,12 @@ The log-mel frontend (features.log_mel_spectrogram) is the third user of
 _in_parts: it splits a clip by channel when each channel's frames reach
 SPLIT_FLOOR (10 s stereo; 1 s and mono clips run whole). In all of them,
 the calling thread allocates every full-size array and the helpers write
-into slices of them, and the helpers call only numpy. The bits do not
-depend on the threads.
+into slices of them, and the helpers call only numpy. Fixture synthesis
+(data.synth_fixture) calls _run_at_once once per clip: the calling
+thread makes clip k + 1's random draws, in stream order, while one
+helper shapes clip k with numpy, into scratch the calling thread
+allocated, and writes its WAV in small blocks. The bits do not depend on
+the threads.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import pytest
 import scipy.io.wavfile
 
 from subspectral.audio import (
+    WRITE_FRAMES,
     AudioClip,
     UnsupportedWavError,
     WavFormatError,
@@ -188,3 +189,28 @@ def test_clip_validation():
         AudioClip(samples=np.zeros((3, 10)), sample_rate=48000)
     with pytest.raises(ValueError):
         AudioClip(samples=np.zeros((1, 10)), sample_rate=0)
+
+
+@pytest.mark.parametrize("bits", [16, 24, 32, "float32"])
+def test_save_refuses_nan_and_writes_no_file(tmp_path, bits):
+    x = np.zeros((2, 50))
+    x[1, 7] = np.nan
+    path = tmp_path / "nan.wav"
+    with pytest.raises(ValueError, match="NaN"):
+        save_wav(path, AudioClip(samples=x, sample_rate=8000), bits=bits)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bits", [16, 24, 32, "float32"])
+def test_save_clips_to_full_scale_and_pads_odd_payloads(tmp_path, bits):
+    # one frame past a write block; mono 24-bit makes an odd payload and a pad byte
+    x = np.full((1, WRITE_FRAMES + 1), 0.25)
+    x[0, :3] = [np.inf, -2.0, 0.5]
+    x[0, -1] = -0.75
+    path = tmp_path / "loud.wav"
+    save_wav(path, AudioClip(samples=x, sample_rate=8000), bits=bits)
+    data = path.read_bytes()
+    payload = x.size * (32 if bits == "float32" else bits) // 8
+    assert len(data) == 44 + payload + (payload & 1)
+    assert struct.unpack("<I", data[4:8])[0] == 36 + payload
+    np.testing.assert_allclose(load_wav(path).samples, np.clip(x, -1, 1), atol=1e-4)

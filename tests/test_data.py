@@ -1,6 +1,8 @@
 """Manifest parsing and synthetic fixture generation."""
 
+import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +23,57 @@ from subspectral.pipeline import extract_dataset, load_feature_dir
 
 # per-clip gain jitter of the band signal: +-6 dB, i.e. +-ln 4 nats of log power
 GAIN_JITTER_NATS = np.log(4.0)
+
+# md5 of every file synth_fixture writes, as the one-thread generator
+# wrote them (numpy 2.4.6): the two-thread pipeline keeps every byte
+GOLDEN_FIXTURES = {
+    "10s-stereo-two-clips": (
+        dict(classes=1, per_class=2, seconds=10.0, seed=3),
+        {
+            "audio/band00-000.wav": "997baa89db7561b0582946c9cb0f74f8",
+            "audio/band00-001.wav": "597325a2b7ee41cc8d5823b5da387d1d",
+            "fixture.json": "655c69aae1b9975a0d1c5815419dd7c8",
+            "manifest.tsv": "e0f61bfc048fcfda42d5f81412a40eb4",
+        },
+    ),
+    "1s-stereo": (
+        dict(classes=3, per_class=2, seconds=1.0, seed=11),
+        {
+            "audio/band00-000.wav": "0665a20e246e57b7637380976539b2be",
+            "audio/band00-001.wav": "4256b2c35b8ea35e2cbc9ade93de2321",
+            "audio/band01-000.wav": "dd4fe9cd4ee08fd4b8eb2f32fef20cb0",
+            "audio/band01-001.wav": "23789168860d292ba9c8556de868a7f6",
+            "audio/band02-000.wav": "e8558834f4eba66dbe07e67604c201aa",
+            "audio/band02-001.wav": "2e1b75dc1f51694a12e61b328916b931",
+            "fixture.json": "9eee880e7b9427ff79987090a7909e83",
+            "manifest.tsv": "5d89bfdf2cfb685fe8952e767e9d550f",
+        },
+    ),
+    "mono": (
+        dict(classes=2, per_class=2, seconds=0.5, channels=1, seed=4),
+        {
+            "audio/band00-000.wav": "9c7961ac02f14bfe3d1bda83f469fe9e",
+            "audio/band00-001.wav": "87f6fafc2f86e95c0fe1c7755809971e",
+            "audio/band01-000.wav": "37e28073ac84c6e3bbb8c9da128b669d",
+            "audio/band01-001.wav": "181ad7d402fec5b101209b40aa9ac283",
+            "fixture.json": "20ae5c817781c25589f734e3d0a2df37",
+            "manifest.tsv": "779687bafd1a4e58b727c4a90ef06b66",
+        },
+    ),
+    "2s-11025": (
+        dict(classes=2, per_class=3, seconds=2.0, sample_rate=11025, seed=5),
+        {
+            "audio/band00-000.wav": "3543bdf1c2a68ab3d6de1f9520bc42e6",
+            "audio/band00-001.wav": "d810bf992c19386f9b44738b89ebd024",
+            "audio/band00-002.wav": "181d9b0037afbc2c3f06aae4c5bb9112",
+            "audio/band01-000.wav": "8aab93225556e4e00f63424fa0b90de5",
+            "audio/band01-001.wav": "5846d7a83d207f038ebfdbf033549270",
+            "audio/band01-002.wav": "65667b42e02331bcb634607518a73a47",
+            "fixture.json": "ab5cee780800d2f223106f302f588f6d",
+            "manifest.tsv": "8805f0648e4b0458f6fc5bbe43572aeb",
+        },
+    ),
+}
 
 
 class TestManifest:
@@ -125,6 +178,30 @@ class TestSynthFixture:
         synth_fixture(3, 2, b, seconds=0.5, seed=11)
         for name in ["band00-000.wav", "band02-001.wav"]:
             assert (a / "audio" / name).read_bytes() == (b / "audio" / name).read_bytes()
+
+    @pytest.mark.parametrize("case", GOLDEN_FIXTURES)
+    def test_golden_bytes(self, tmp_path, case):
+        kwargs, want = GOLDEN_FIXTURES[case]
+        kwargs = dict(kwargs)
+        synth_fixture(kwargs.pop("classes"), kwargs.pop("per_class"), tmp_path, **kwargs)
+        got = {p.relative_to(tmp_path).as_posix(): hashlib.md5(p.read_bytes()).hexdigest() for p in tmp_path.rglob("*") if p.is_file()}
+        assert got == want
+
+    def test_failed_write_leaves_no_manifest_or_thread(self, tmp_path):
+        # the third of four clips cannot be written: its path is a directory
+        (tmp_path / "audio" / "band01-000.wav").mkdir(parents=True)
+        threads = threading.active_count()
+        with pytest.raises(IsADirectoryError):
+            synth_fixture(2, 2, tmp_path, seconds=0.5, seed=1)
+        assert threading.active_count() == threads
+        assert not (tmp_path / "manifest.tsv").exists()
+        assert not (tmp_path / "audio" / "band01-001.wav").exists()
+
+    @pytest.mark.parametrize("channels", [0, 3])
+    def test_channel_count_checked_before_any_file(self, tmp_path, channels):
+        with pytest.raises(ValueError, match="channels"):
+            synth_fixture(2, 2, tmp_path / "fix", seconds=0.5, channels=channels)
+        assert not (tmp_path / "fix").exists()
 
     def test_different_seed_differs(self, tmp_path):
         a = tmp_path / "a"
