@@ -70,7 +70,7 @@ def cmd_extract(args) -> int:
     elif args.train_manifest and args.test_manifest:
         manifest = parse_manifest_pair(args.train_manifest, args.test_manifest)
     else:
-        raise SystemExit("need --manifest or both --train-manifest/--test-manifest")
+        raise ValueError("need --manifest or both --train-manifest/--test-manifest")
     summary = pipeline.extract_dataset(
         manifest,
         args.audio_root,

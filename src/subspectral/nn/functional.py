@@ -14,11 +14,15 @@ are. Every float operation runs in the same order either way, so out=
 changes no bits.
 
 Threads: convs whose columns exceed COLS_BUDGET run their slabs on the
-calling thread plus WORKERS - 1 helpers (_slabwise). Batch norm splits by
-channel, and ReLU and max-pool by sample, into WORKERS parts on the same
-threads when each part's numpy calls touch at least SPLIT_FLOOR bytes
-(_in_parts); each part runs the kernel's whole chain for its channels or
-samples, so the float operations and their order are those of one call.
+calling thread plus WORKERS - 1 helpers (_slabwise); float32 forwards and
+dx whose columns fit it split into WORKERS sample slabs on the same
+threads when each slab holds at least SPLIT_FLOOR bytes of columns,
+which at 1 s clips every conv of a batch of 12 samples or more does.
+Batch norm splits by channel, and ReLU and max-pool by sample, into
+WORKERS parts on the same threads when each part's numpy calls touch at
+least SPLIT_FLOOR bytes (_in_parts); each part runs the kernel's whole
+chain for its channels or samples, so the float operations and their
+order are those of one call.
 The log-mel frontend (features.log_mel_spectrogram) is the third user of
 _in_parts: it splits a clip by channel when each channel's frames reach
 SPLIT_FLOOR (10 s stereo; 1 s and mono clips run whole). In all of them,
@@ -44,22 +48,28 @@ import numpy as np
 # whole samples (dw: groups of kernel rows) of at most COLS_BUDGET //
 # WORKERS bytes each, as many at once as fit the budget together, so a
 # 10 s clip's train step peaks at its activations, not its columns, and
-# both cores work on it. 24 MiB keeps the 1 s geometries' train and eval
-# convs in one GEMM each on the calling thread: there, threads over short
-# GEMMs lost more to GIL hand-offs than they won.
+# both cores work on it. Every 1 s geometry's train and eval convs fit
+# 24 MiB; their float32 forwards and dx split in WORKERS slabs above
+# SPLIT_FLOOR instead, and their dw runs one GEMM.
 COLS_BUDGET = 24 * 2**20
 # Threads that share COLS_BUDGET: the calling thread and WORKERS - 1
 # helpers, each started for one batch of slabs and joined before the next.
 WORKERS = 2
 # Bytes that each part's numpy calls must touch before batch norm, ReLU,
 # max-pool or the log-mel frontend splits over the WORKERS threads
-# (_in_parts). A 10 s 48 kHz channel has 7.7 MB of frames, a 1 s one
-# 0.77 MB, so only 10 s stereo clips split the frontend. 2 MiB splits the
-# 10 s clips' first-block kernels and keeps every 1 s geometry's tensors
-# (the largest, desk-40's eval batch norm, is 3.84 MB: 1.92 MB a half) and
-# the 10 s second-block ones on the calling thread. A 512 KiB floor, which
-# split the 1 s batch norms, slowed the 200-mel band-split evaluation, and
-# the (4, 100) pool of the 10 s second block ran slower split than whole.
+# (_in_parts), and the columns that each slab of a float32 conv within
+# COLS_BUDGET must hold before it splits (_slabwise). A 10 s 48 kHz
+# channel has 7.7 MB of frames, a 1 s one 0.77 MB, so only 10 s stereo
+# clips split the frontend. 2 MiB splits the 10 s clips' first-block
+# kernels and keeps every 1 s geometry's tensors (the largest, desk-40's
+# eval batch norm, is 3.84 MB: 1.92 MB a half) and the 10 s second-block
+# ones on the calling thread. A 512 KiB floor, which split the 1 s batch
+# norms, slowed the 200-mel band-split evaluation, and the (4, 100) pool
+# of the 10 s second block ran slower split than whole. A conv slab's
+# GEMM does more work per byte than those elementwise calls: desk-40's
+# batch-16 conv2 has 5.0 MB of columns a slab, and with its convs on two
+# slabs desk-40's eval forward went 72 -> 49 ms (one traced perfbench
+# pair, BENCH_conv_slabs.json).
 SPLIT_FLOOR = 2 * 2**20
 
 
@@ -92,17 +102,20 @@ def _im2col(padded: np.ndarray, kh: int, kw: int, rows: range, out: np.ndarray) 
     np.copyto(cols, windows[:, :, rows.start : rows.stop].transpose(1, 2, 3, 0, 4, 5))
 
 
-def _slabwise(units: int, unit_bytes: int, job, buffer_shapes) -> None:
+def _slabwise(units: int, unit_bytes: int, job, buffer_shapes, split: bool = False) -> None:
     """Call job(lo, hi, *buffers) over slabs [lo, hi) that cover
     range(units), where each unit has unit_bytes of columns and
     buffer_shapes(lo, hi) lists the (shape, dtype) of each C-contiguous
     buffer that job fills for its slab.
 
-    When all the columns fit COLS_BUDGET, that is one call on the calling
-    thread. Otherwise slabs hold at most COLS_BUDGET // WORKERS bytes (at
-    least one unit), and as many run at once as fit the budget together
-    (at least one): the calling thread runs the first slab of each batch
-    and one helper thread each of the others (_run_at_once).
+    When the columns exceed COLS_BUDGET, slabs hold at most COLS_BUDGET
+    // WORKERS bytes (at least one unit), and as many run at once as fit
+    the budget together (at least one): the calling thread runs the first
+    slab of each batch and one helper thread each of the others
+    (_run_at_once). When they fit it, a split call whose WORKERS
+    near-equal slabs each hold at least SPLIT_FLOOR bytes runs those
+    slabs at once, the same way; any other call is one call on the
+    calling thread.
 
     The calling thread allocates one block that holds the buffers of one
     batch and hands out views of it, batch after batch. One block rather
@@ -111,12 +124,15 @@ def _slabwise(units: int, unit_bytes: int, job, buffer_shapes) -> None:
     largest mmapped block freed, and arrays below it are reused from the
     heap instead of being mapped and faulted in afresh on every call.
     """
-    if units * unit_bytes <= COLS_BUDGET:
-        per, together = units, 1
-    else:
+    if units * unit_bytes > COLS_BUDGET:
         per = max(1, COLS_BUDGET // WORKERS // unit_bytes)
         together = max(1, min(WORKERS, COLS_BUDGET // (per * unit_bytes)))
-    slabs = [(lo, min(lo + per, units)) for lo in range(0, units, per)]
+        slabs = [(lo, min(lo + per, units)) for lo in range(0, units, per)]
+    elif split and units >= WORKERS and units // WORKERS * unit_bytes >= SPLIT_FLOOR:
+        bounds = [units * k // WORKERS for k in range(WORKERS + 1)]
+        slabs, together = list(zip(bounds, bounds[1:])), WORKERS
+    else:
+        slabs, together = [(0, units)], 1
     batches = [slabs[k : k + together] for k in range(0, len(slabs), together)]
 
     def nbytes(shape, dtype) -> int:  # rounded up to whole cache lines
@@ -186,14 +202,19 @@ def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The forward is w @ cols over the sample slabs of _slabwise, each slab
     its own GEMM written straight into its own slice of the output, so
-    the bits do not depend on which thread runs it; when all columns fit
-    COLS_BUDGET, that is one GEMM on the calling thread. Splitting a
-    GEMM's N does not keep the bits at every shape: with OpenBLAS
-    0.3.31's SkylakeX kernels, a float64 (16, 32, 10, 10) input into 64
-    kernels, split into 13 + 3 samples, changed 415 of its 102,400
-    outputs. So chunking happens only above the budget, and the slabs are
-    proven byte-identical to one GEMM at the corpus-10s conv shapes,
-    float32 and float64 (tests/test_nn_functional.py::TestConvSlabs).
+    the bits do not depend on which thread runs it. When all columns fit
+    COLS_BUDGET, a float32 call splits into WORKERS near-equal slabs if
+    each holds SPLIT_FLOOR bytes of columns, and any other call is one
+    GEMM on the calling thread. Splitting a GEMM's N does not keep the
+    bits at every shape: with OpenBLAS 0.3.31's SkylakeX kernels, a
+    float64 (16, 32, 10, 10) input into 64 kernels, split into 13 + 3
+    samples, changed 415 of its 102,400 outputs, and halves of N = 2 to
+    17 samples of that shape changed outputs at 7 of the 16 N in one
+    random draw. So a float64 call splits only above the budget. The
+    slabs are proven byte-identical to one GEMM at the corpus-10s conv
+    shapes, float32 and float64, and in float32 at every 1 s conv shape
+    in halves of N = 2 to 17, 30, 31, 63 and 64 samples where the budget
+    holds them (tests/test_nn_functional.py::TestConvSlabs).
     """
     n, c, h, wd = x.shape
     o, cw, kh, kw = w.shape
@@ -214,7 +235,7 @@ def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         m = (hi - lo) * h * wd
         return (_padded_shape(x[lo:hi].shape, kh, kw), x.dtype), ((c * kh * kw, m), x.dtype), ((o, m), gemm_dtype)
 
-    _slabwise(n, c * kh * kw * h * wd * x.itemsize, slab, buffers)
+    _slabwise(n, c * kh * kw * h * wd * x.itemsize, slab, buffers, split=gemm_dtype == np.float32)
     return out
 
 
@@ -229,10 +250,13 @@ def conv2d_same_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, need_dx: 
     own slice of dx one kernel offset at a time in (i, j) order, clipped
     to dx's interior (what a zero-padded buffer would hold there). Each
     group and slab is its own GEMM writing its own slice, so the bits do
-    not depend on the thread that runs it. Like the forward's, these
-    splits are proven byte-identical to one GEMM only at the corpus-10s
-    conv shapes, and happen only above the budget. need_dx=False skips
-    dx (at a first layer, where nobody reads it).
+    not depend on the thread that runs it. Within the budget, dw is one
+    GEMM, since its bits depend on the group size at small shapes, and
+    dx splits as the forward does: in float32, into WORKERS near-equal
+    slabs of at least SPLIT_FLOOR bytes of dcols each. These splits are
+    proven byte-identical to one GEMM at the same shapes as the
+    forward's. need_dx=False skips dx (at a first layer, where nobody
+    reads it).
     """
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
@@ -270,10 +294,12 @@ def conv2d_same_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, need_dx: 
                 src_w, dst_w = _shifted(j - pl, wd)
                 dxs[:, :, dst_h, dst_w] += d[:, i, j, :, src_h, src_w].transpose(1, 0, 2, 3)
 
-    def slab_buffers(lo, hi):
-        return (((c * kh * kw, (hi - lo) * hw), np.result_type(w, dy)),)
+    dcols_dtype = np.result_type(w, dy)
 
-    _slabwise(n, c * kh * kw * hw * x.itemsize, slab, slab_buffers)
+    def slab_buffers(lo, hi):
+        return (((c * kh * kw, (hi - lo) * hw), dcols_dtype),)
+
+    _slabwise(n, c * kh * kw * hw * x.itemsize, slab, slab_buffers, split=dcols_dtype == np.float32)
     return dx, dw, db
 
 

@@ -213,6 +213,17 @@ class TestConvGradients:
 class TestConvSlabs:
     """The slab kernels against one-GEMM copies of the same math."""
 
+    @staticmethod
+    def conv_case(rng, n, shape, kernels, dtype):
+        """x (n, *shape) with post-ReLU zeros, w (kernels, C, 7, 7), b and
+        a dy of the output's shape."""
+        x = rng.standard_normal((n, *shape)).astype(dtype)
+        x[:, :, ::3] = np.maximum(x[:, :, ::3], 0)
+        w = (rng.standard_normal((kernels, shape[0], 7, 7)) * 0.1).astype(dtype)
+        b = rng.standard_normal(kernels).astype(dtype)
+        dy = rng.standard_normal((n, kernels, *shape[1:])).astype(dtype)
+        return x, w, b, dy
+
     # corpus-10s conv1 and conv2 (10 s clips, 40 mel, doubled-width
     # baseline): the train shapes whose columns exceed COLS_BUDGET
     CORPUS = [((10, 2, 40, 500), 64), ((10, 64, 8, 100), 128)]
@@ -220,16 +231,11 @@ class TestConvSlabs:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape, kernels", CORPUS, ids=["conv1", "conv2"])
     def test_corpus_shapes_match_one_gemm_bytes(self, shape, kernels, dtype):
-        rng = np.random.default_rng(shape[1])
-        x = rng.standard_normal(shape).astype(dtype)
-        x[:, :, ::3] = np.maximum(x[:, :, ::3], 0)  # post-ReLU zeros
-        w = (rng.standard_normal((kernels, shape[1], 7, 7)) * 0.1).astype(dtype)
-        b = rng.standard_normal(kernels).astype(dtype)
+        x, w, b, dy = self.conv_case(np.random.default_rng(shape[1]), shape[0], shape[1:], kernels, dtype)
         assert x.size * 49 * x.itemsize > F.COLS_BUDGET  # the slab path runs
         y = F.conv2d_same(x, w, b)
         expected = reference_conv2d_same(x, w, b)
         assert y.dtype == expected.dtype and y.flags.c_contiguous and y.tobytes() == expected.tobytes()
-        dy = rng.standard_normal(y.shape).astype(dtype)
         expected = reference_conv2d_same_backward(dy, x, w)
         for need_dx in (True, False):
             dx, dw, db = F.conv2d_same_backward(dy, x, w, need_dx=need_dx)
@@ -347,16 +353,73 @@ class TestConvSlabs:
             F.conv2d_same(x, w, b) if kernel == "forward" else F.conv2d_same_backward(dy, x, w)
         assert threading.active_count() == before
 
-    def test_conv_within_the_budget_starts_no_thread(self, monkeypatch):
+    def test_float32_conv_within_the_budget_splits_above_the_floor(self, monkeypatch):
         rng = np.random.default_rng(14)
-        # desk-40's largest conv: its 30-clip eval conv2, 17.9 MiB of columns
-        x = rng.standard_normal((30, 32, 10, 10)).astype(np.float32)
-        w = rng.standard_normal((64, 32, 7, 7)).astype(np.float32)
-        assert x.size * 49 * x.itemsize <= F.COLS_BUDGET
         started = _thread_starts(monkeypatch)
-        y = F.conv2d_same(x, w, np.zeros(64, dtype=np.float32))
-        F.conv2d_same_backward(np.ones_like(y), x, w)
-        assert started == []
+        # desk-40's largest conv, its 30-clip eval conv2 (17.9 MiB of
+        # columns): two slabs of 15 samples, 9.4 MB each
+        x, w, b, _ = self.conv_case(rng, 30, (32, 10, 10), 64, np.float32)
+        assert x.size * 49 * x.itemsize <= F.COLS_BUDGET
+        assert 15 * 32 * 49 * 100 * x.itemsize >= F.SPLIT_FLOOR
+        F.conv2d_same(x, w, b)
+        assert len(started) == 1
+        # the same conv in float64 runs one GEMM; at 30 samples its 35.9
+        # MiB of columns exceed the budget, so it runs its first 15, whose
+        # columns are those of the float32 call
+        x64, w64, b64 = (a.astype(np.float64) for a in (x[:15], w, b))
+        assert x64.size * 49 * x64.itemsize == x.size * 49 * x.itemsize
+        F.conv2d_same(x64, w64, b64)
+        assert len(started) == 1
+        # three samples: slabs of one sample, 0.6 MB, fall under the floor
+        x, w, b, dy = self.conv_case(rng, 3, (32, 10, 10), 64, np.float32)
+        assert 32 * 49 * 100 * x.itemsize < F.SPLIT_FLOOR
+        F.conv2d_same(x, w, b)
+        F.conv2d_same_backward(dy, x, w)
+        assert len(started) == 1
+
+    # every conv of the 1 s geometries (T = 50) as (C, H, W) and kernels:
+    # 40/20/10 and 200/20/10 (conv1 and conv2), 200/30/10 (conv1), and
+    # the baseline at width x1 and x2 over 40 and 200 mel
+    ONE_SECOND = [
+        ((2, 20, 50), 32),
+        ((32, 10, 10), 64),
+        ((2, 30, 50), 32),
+        ((2, 40, 50), 32),
+        ((32, 8, 10), 64),
+        ((2, 40, 50), 64),
+        ((64, 8, 10), 128),
+        ((2, 200, 50), 32),
+        ((32, 40, 10), 64),
+        ((2, 200, 50), 64),
+        ((64, 40, 10), 128),
+    ]
+
+    @pytest.mark.parametrize("shape, kernels", ONE_SECOND, ids=[f"{s}-{k}" for s, k in ONE_SECOND])
+    def test_one_second_slabs_match_one_gemm_bytes(self, monkeypatch, shape, kernels):
+        # a floor of 0 splits every call of two samples or more, so each N
+        # below runs the two-slab forward and dx
+        monkeypatch.setattr(F, "SPLIT_FLOOR", 0)
+        started = _thread_starts(monkeypatch)
+        rng = np.random.default_rng(sum(shape) + kernels)
+        sample_cols = shape[0] * 49 * shape[1] * shape[2]
+        sizes = [n for n in [*range(2, 18), 30, 31, 63, 64] if n * sample_cols * 4 <= F.COLS_BUDGET]
+        for n in sizes:
+            x, w, b, dy = self.conv_case(rng, n, shape, kernels, np.float32)
+            before = len(started)
+            y = F.conv2d_same(x, w, b)
+            dx, dw, db = F.conv2d_same_backward(dy, x, w)
+            assert len(started) - before == 2, n  # the forward's and dx's helpers
+            expected = reference_conv2d_same(x, w, b)
+            assert y.dtype == expected.dtype and y.flags.c_contiguous and y.tobytes() == expected.tobytes(), n
+            for a, e in zip((dx, dw, db), reference_conv2d_same_backward(dy, x, w)):
+                assert a.dtype == e.dtype and a.shape == e.shape and a.tobytes() == e.tobytes(), n
+        # float64 runs one GEMM wherever its columns fit the budget
+        n = max(n for n in sizes if n * sample_cols * 8 <= F.COLS_BUDGET)
+        x, w, b, dy = self.conv_case(rng, n, shape, kernels, np.float64)
+        before = len(started)
+        F.conv2d_same(x, w, b)
+        F.conv2d_same_backward(dy, x, w)
+        assert len(started) == before
 
 
 class _InlineThread:

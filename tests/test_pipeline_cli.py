@@ -335,6 +335,13 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("manifests", [[], ["--train-manifest", "train.tsv"], ["--test-manifest", "test.tsv"]])
+    def test_extract_without_a_manifest_exits_1(self, tmp_path, capsys, manifests):
+        out = tmp_path / "o"
+        assert main(["extract", *manifests, "--audio-root", ".", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: need --manifest or both --train-manifest/--test-manifest\n"
+        assert not out.exists()
+
     def test_predict_with_renamed_header_key_exits_1(self, cli_dirs, tmp_path, capsys):
         _, feat, run = cli_dirs
         damaged = tmp_path / "model.ssnw"
