@@ -97,11 +97,16 @@ def per_bin_classify(test, profiles: ClassProfileSet) -> np.ndarray:
     test is one (C, F, T) clip or an (N, C, F, T) stack. Returns an int
     array of shape (F,) or (N, F): argmin over classes of the squared
     difference between the clip's temporal mean at that bin and the class
-    profile. Ties break toward the lowest class index.
+    profile. Ties break toward the lowest class index. A non-finite
+    value in test or in the profiles is a ValueError: the float64 means
+    of float32 features are non-finite exactly when a value they average is.
     """
     summary = np.asarray(test, dtype=np.float64).mean(axis=-1).mean(axis=-2)  # (..., F): channel mean
     if summary.shape[-1] != profiles.profiles.shape[1]:
         raise ValueError(f"clip has {summary.shape[-1]} bins, profiles have {profiles.profiles.shape[1]}")
+    for what, values in (("test features", summary), ("class profiles", profiles.profiles)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{what} hold a non-finite value (NaN or inf)")
     sq = (profiles.profiles - summary[..., None, :]) ** 2  # (..., n_classes, F)
     return np.argmin(sq, axis=-2)
 

@@ -147,6 +147,10 @@ def _load_scored(features_path, checkpoint, labels_path=None):
         storage.check_labels(features_path, labels, len(names), pipeline.LABELS_FILE)
     if features.shape[0] == 0:
         raise storage.ContainerError(f"{features_path}: holds no samples")
+    # a float64 sum of float32 values is non-finite exactly when a value is,
+    # and it allocates no full-size mask
+    if not np.isfinite(features.sum(dtype=np.float64)):
+        raise storage.ContainerError(f"{features_path}: holds a non-finite value (NaN or inf)")
     graph, _meta = load_model(checkpoint)
     geometry = [graph.desc[key] for key in ("channels", "mel_bins", "frames")]
     for what, got, want in zip(("channels", "mel bins", "frames"), features.shape[1:], geometry):

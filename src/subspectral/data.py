@@ -11,11 +11,8 @@ histogram matrices of bandstats do not single the twins out at desk
 sizes: with a few test clips per class, chance hits in out-of-band bins
 carry about as much mass as the in-band bins.
 
-Synthesis runs on two threads, one clip apart: the calling thread makes
-each clip's random draws (_draw_clip) from the one STREAM_SYNTH
-generator, in stream order, while one helper shapes the clip before it
-(_shape_clip) and writes its WAV. The shaping draws nothing, so the
-bytes are those of one thread.
+Synthesis runs on two threads, one clip apart (the nn.functional module
+docstring): _draw_clip on the calling thread, _shape_clip on a helper.
 """
 
 from __future__ import annotations
@@ -48,6 +45,10 @@ class DatasetManifest:
     class_names: list[str]
 
     def __post_init__(self):
+        for e in self.entries:
+            # a label names its analysis files (hist_<label>.tsv)
+            if not e.path or not e.label or "/" in e.label:
+                raise ValueError(f"manifest row {e.path!r}, {e.label!r}: needs a filename and a label without '/'")
         paths = [e.path for e in self.entries]
         if len(set(paths)) != len(paths):
             dupes = sorted({p for p in paths if paths.count(p) > 1})
@@ -188,9 +189,7 @@ def synth_fixture(
     test_per_class of them (default max(1, per_class // 4)) land in the
     test split. sample_rate must be one the feature frontend takes (up
     to 51.2 kHz), seconds at least its 40 ms window, and channels 1 or
-    2. Deterministic for a fixed seed, down to the bytes, though clip
-    k + 1 is drawn on the calling thread while a helper thread
-    (nn.functional._run_at_once) shapes and writes clip k. Writes
+    2. Deterministic for a fixed seed, down to the bytes. Writes
     manifest.tsv and fixture.json (band metadata) into out_dir, the
     manifest only once every clip is written.
     """

@@ -10,10 +10,8 @@ Features are plain float32 arrays: one clip is (C, F, T), a split is one
 stacked (N, C, F, T) array, and the normalizer is fitted on and applied
 to that stack.
 
-Threads: a clip whose frames reach nn.functional.SPLIT_FLOOR bytes a
-channel (10 s stereo) runs its frontend over channel parts on the calling
-thread and one helper (_in_parts); the helpers only call numpy, into
-arrays the calling thread allocated.
+Threads: the frontend splits by channel under the rule in the
+nn.functional module docstring.
 """
 
 from __future__ import annotations
@@ -137,12 +135,8 @@ def log_mel_spectrogram(clip, filterbank: np.ndarray) -> np.ndarray:
     there are n // hop of them (500 for 10 s at 48 kHz).
 
     Padding, framing, windowing, rfft, power and the mel GEMM run over
-    _in_parts' channel parts (nn.functional), each part in one pass over
-    its channels, writing into slices of arrays this thread allocated:
-    a 10 s stereo clip at 48 kHz (7.7 MB of frames a channel) splits over
-    two threads, a 1 s or mono clip runs whole here. The log, the layout
-    and the checks stay on this thread; the bits do not depend on the
-    threads.
+    _in_parts' channel parts, each part in one pass over its channels;
+    the log, the layout and the checks stay on the calling thread.
     """
     sr = clip.sample_rate
     check_sample_rate(sr)

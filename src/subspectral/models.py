@@ -180,7 +180,7 @@ class ModelGraph:
             raise ValueError(f"input has {x.shape[3]} frames, model expects {self.desc['frames']}")
         self._input_shape = x.shape
         self._features = [trunk.forward(x[:, :, lo:hi, :], train) for trunk, (lo, hi) in zip(self.trunks, self.bands)]
-        out = {"global": self.global_head.forward(F.concat(self._features), train)}
+        out = {"global": self.global_head.forward(np.concatenate(self._features, axis=1), train)}
         for i, head in enumerate(self.sub_heads):
             out[f"sub{i}"] = head.forward(self._features[i], train)
         return out
@@ -197,7 +197,7 @@ class ModelGraph:
         """
         widths = [f.shape[1] for f in self._features]
         if "global" in dlogits:
-            dfeats = [np.array(d) for d in F.split_widths(self.global_head.backward(dlogits["global"]), widths)]
+            dfeats = [np.array(d) for d in np.split(self.global_head.backward(dlogits["global"]), np.cumsum(widths)[:-1], axis=1)]
         else:
             dfeats = [np.zeros_like(f) for f in self._features]
         for i, head in enumerate(self.sub_heads):

@@ -13,26 +13,21 @@ dy; without it they return a new array and leave their inputs as they
 are. Every float operation runs in the same order either way, so out=
 changes no bits.
 
-Threads: convs whose columns exceed COLS_BUDGET run their slabs on the
-calling thread plus WORKERS - 1 helpers (_slabwise); float32 forwards and
-dx whose columns fit it split into WORKERS sample slabs on the same
-threads when each slab holds at least SPLIT_FLOOR bytes of columns,
-which at 1 s clips every conv of a batch of 12 samples or more does.
-Batch norm splits by channel, and ReLU and max-pool by sample, into
-WORKERS parts on the same threads when each part's numpy calls touch at
-least SPLIT_FLOOR bytes (_in_parts); each part runs the kernel's whole
-chain for its channels or samples, so the float operations and their
-order are those of one call.
-The log-mel frontend (features.log_mel_spectrogram) is the third user of
-_in_parts: it splits a clip by channel when each channel's frames reach
-SPLIT_FLOOR (10 s stereo; 1 s and mono clips run whole). In all of them,
-the calling thread allocates every full-size array and the helpers write
-into slices of them, and the helpers call only numpy. Fixture synthesis
-(data.synth_fixture) calls _run_at_once once per clip: the calling
-thread makes clip k + 1's random draws, in stream order, while one
-helper shapes clip k with numpy, into scratch the calling thread
-allocated, and writes its WAV in small blocks. The bits do not depend on
-the threads.
+Threads: a call splits into at most WORKERS near-equal contiguous parts
+of one axis, and only when the smallest part touches at least
+SPLIT_FLOOR bytes (_parts). The axes are the samples of float32 conv
+forwards and dx (bytes of columns, _slabwise), of ReLU and max-pool, and
+the channels of batch norm (parts of two or more) and of the log-mel
+frontend (features.log_mel_spectrogram; _in_parts). A conv whose
+columns exceed COLS_BUDGET runs budget-sized slabs instead (dw: groups
+of kernel rows), WORKERS at a time. The calling thread runs the first
+part and one helper thread each of the others (_run_at_once); it
+allocates every full-size array, the helpers call only numpy and write
+into slices of them, and each part runs the whole chain of one call for
+its units. Fixture synthesis (data.synth_fixture) runs one _run_at_once
+per clip: the calling thread makes clip k + 1's random draws, in stream
+order, while a helper shapes clip k into scratch the calling thread
+allocated and writes its WAV. The bits do not depend on the threads.
 """
 
 from __future__ import annotations
@@ -112,10 +107,9 @@ def _slabwise(units: int, unit_bytes: int, job, buffer_shapes, split: bool = Fal
     // WORKERS bytes (at least one unit), and as many run at once as fit
     the budget together (at least one): the calling thread runs the first
     slab of each batch and one helper thread each of the others
-    (_run_at_once). When they fit it, a split call whose WORKERS
-    near-equal slabs each hold at least SPLIT_FLOOR bytes runs those
-    slabs at once, the same way; any other call is one call on the
-    calling thread.
+    (_run_at_once). When they fit it, a split call runs the slabs of
+    _parts(units, units * unit_bytes) at once, the same way; any other
+    call is one call on the calling thread.
 
     The calling thread allocates one block that holds the buffers of one
     batch and hands out views of it, batch after batch. One block rather
@@ -128,11 +122,9 @@ def _slabwise(units: int, unit_bytes: int, job, buffer_shapes, split: bool = Fal
         per = max(1, COLS_BUDGET // WORKERS // unit_bytes)
         together = max(1, min(WORKERS, COLS_BUDGET // (per * unit_bytes)))
         slabs = [(lo, min(lo + per, units)) for lo in range(0, units, per)]
-    elif split and units >= WORKERS and units // WORKERS * unit_bytes >= SPLIT_FLOOR:
-        bounds = [units * k // WORKERS for k in range(WORKERS + 1)]
-        slabs, together = list(zip(bounds, bounds[1:])), WORKERS
     else:
-        slabs, together = [(0, units)], 1
+        slabs = _parts(units, units * unit_bytes) if split else [(0, units)]
+        together = len(slabs)
     batches = [slabs[k : k + together] for k in range(0, len(slabs), together)]
 
     def nbytes(shape, dtype) -> int:  # rounded up to whole cache lines
@@ -173,22 +165,28 @@ def _run_at_once(job, arglists) -> None:
         raise errors[0]
 
 
-def _in_parts(units: int, call_bytes: int, job, min_part: int = 1) -> None:
-    """Call job(lo, hi) over contiguous parts [lo, hi) that cover
-    range(units), where one numpy call over all units touches call_bytes.
+def _parts(units: int, call_bytes: int, min_part: int = 1) -> list[tuple[int, int]]:
+    """The split rule: contiguous parts [lo, hi) that cover range(units),
+    where one call over all units touches call_bytes. Parts are
+    near-equal, at most WORKERS of them and each of at least min_part
+    units, when there are two or more and the smallest touches at least
+    SPLIT_FLOOR bytes; otherwise the one part [(0, units)]."""
+    n = min(WORKERS, units // min_part)
+    if n < 2 or call_bytes * (units // n) < SPLIT_FLOOR * units:
+        return [(0, units)]
+    bounds = [units * k // n for k in range(n + 1)]
+    return list(zip(bounds, bounds[1:]))
 
-    Parts are near-equal, at most WORKERS of them and each of at least
-    min_part units. When there are two or more and the smallest touches
-    at least SPLIT_FLOOR bytes a call, the calling thread runs the first
-    part and one helper thread each of the others (_run_at_once);
-    otherwise job(0, units) runs alone on the calling thread.
-    """
-    parts = min(WORKERS, units // min_part)
-    if parts < 2 or call_bytes * (units // parts) < SPLIT_FLOOR * units:
+
+def _in_parts(units: int, call_bytes: int, job, min_part: int = 1) -> None:
+    """Call job(lo, hi) over _parts(units, call_bytes, min_part): one part
+    runs alone on the calling thread; of several, the calling thread runs
+    the first and one helper thread each of the others (_run_at_once)."""
+    parts = _parts(units, call_bytes, min_part)
+    if len(parts) == 1:
         job(0, units)
         return
-    bounds = [units * k // parts for k in range(parts + 1)]
-    _run_at_once(job, list(zip(bounds, bounds[1:])))
+    _run_at_once(job, parts)
 
 
 def _shifted(d: int, size: int) -> tuple[slice, slice]:
@@ -202,10 +200,8 @@ def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The forward is w @ cols over the sample slabs of _slabwise, each slab
     its own GEMM written straight into its own slice of the output, so
-    the bits do not depend on which thread runs it. When all columns fit
-    COLS_BUDGET, a float32 call splits into WORKERS near-equal slabs if
-    each holds SPLIT_FLOOR bytes of columns, and any other call is one
-    GEMM on the calling thread. Splitting a GEMM's N does not keep the
+    the bits do not depend on which thread runs it. Within COLS_BUDGET,
+    only a float32 call splits. Splitting a GEMM's N does not keep the
     bits at every shape: with OpenBLAS 0.3.31's SkylakeX kernels, a
     float64 (16, 32, 10, 10) input into 64 kernels, split into 13 + 3
     samples, changed 415 of its 102,400 outputs, and halves of N = 2 to
@@ -252,11 +248,9 @@ def conv2d_same_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, need_dx: 
     group and slab is its own GEMM writing its own slice, so the bits do
     not depend on the thread that runs it. Within the budget, dw is one
     GEMM, since its bits depend on the group size at small shapes, and
-    dx splits as the forward does: in float32, into WORKERS near-equal
-    slabs of at least SPLIT_FLOOR bytes of dcols each. These splits are
-    proven byte-identical to one GEMM at the same shapes as the
-    forward's. need_dx=False skips dx (at a first layer, where nobody
-    reads it).
+    dx splits as the forward does. These splits are proven
+    byte-identical to one GEMM at the same shapes as the forward's.
+    need_dx=False skips dx (at a first layer, where nobody reads it).
     """
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
@@ -434,23 +428,30 @@ def maxpool2d_backward(dy: np.ndarray, idx: np.ndarray, x_shape, pool_h: int, po
 _BN_MIN_PART = 2
 
 
-def _channel_moments(x: np.ndarray):
-    """Per-channel mean and (biased) variance, accumulated in float64."""
-    m = x.shape[0] * x.shape[2] * x.shape[3]
-    mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
-    sumsq = np.einsum("nchw,nchw->c", x, x, dtype=np.float64)
-    var = np.maximum(sumsq / m - mean**2, 0.0)
-    return mean, var
+def _normalize(x, mean, inv, gamma, beta, xhat, y) -> None:
+    """xhat = (x - mean) * inv, then y = gamma * xhat + beta, over
+    _in_parts' channel parts; mean and inv are per-channel vectors in x's
+    dtype, and each full-size result is computed in place after its first
+    operation. xhat may be y (no xhat kept), and y may be x when xhat is
+    not x."""
+
+    def part(lo, hi):
+        ch = np.s_[None, lo:hi, None, None]  # per-channel vectors over (N, C, H, W)
+        xs = np.subtract(x[:, lo:hi], mean[ch], out=xhat[:, lo:hi])
+        xs *= inv[ch]
+        ys = np.multiply(gamma[ch], xs, out=y[:, lo:hi])
+        ys += beta[ch]
+
+    _in_parts(x.shape[1], x.nbytes, part, _BN_MIN_PART)
 
 
 def batchnorm2d_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float, out=None):
-    """Per-channel batch normalization using (biased) batch statistics.
+    """Per-channel batch normalization using (biased) batch statistics,
+    accumulated in float64.
 
     Returns (y, batch_mean, batch_var, cache) where cache feeds backward.
-    xhat = (x - mean) * inv and y = gamma * xhat + beta are two full-size
-    arrays, each computed in place after its first operation. xhat is
-    complete before y is written, so out=x is safe: y goes over x and
-    xhat is the one new array.
+    xhat is complete before y is written (_normalize), so out=x is safe:
+    y goes over x and xhat is the one new array.
 
     The moments, then xhat and y, run over _in_parts' channel parts, and
     the calling thread allocates xhat and y between the two passes: the
@@ -460,25 +461,21 @@ def batchnorm2d_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: f
     runs on a 2-core VM (glibc malloc).
     """
     c = x.shape[1]
+    m = x.shape[0] * x.shape[2] * x.shape[3]
     mean, var = np.empty(c), np.empty(c)
     inv_t = np.empty(c, dtype=x.dtype)
 
     def moments(lo, hi):
-        mean[lo:hi], var[lo:hi] = _channel_moments(x[:, lo:hi])
+        xs = x[:, lo:hi]
+        mean[lo:hi] = xs.mean(axis=(0, 2, 3), dtype=np.float64)
+        sumsq = np.einsum("nchw,nchw->c", xs, xs, dtype=np.float64)
+        var[lo:hi] = np.maximum(sumsq / m - mean[lo:hi] ** 2, 0.0)
         inv_t[lo:hi] = 1.0 / np.sqrt(var[lo:hi] + eps)
 
     _in_parts(c, x.nbytes, moments, _BN_MIN_PART)
     xhat = np.empty(x.shape, dtype=x.dtype)
     y = np.empty(x.shape, dtype=np.result_type(gamma, xhat)) if out is None else out
-
-    def part(lo, hi):
-        ch = np.s_[None, lo:hi, None, None]  # per-channel vectors over (N, C, H, W)
-        xs = np.subtract(x[:, lo:hi], mean[lo:hi].astype(x.dtype)[None, :, None, None], out=xhat[:, lo:hi])
-        xs *= inv_t[ch]
-        ys = np.multiply(gamma[ch], xs, out=y[:, lo:hi])
-        ys += beta[ch]
-
-    _in_parts(c, x.nbytes, part, _BN_MIN_PART)
+    _normalize(x, mean.astype(x.dtype), inv_t, gamma, beta, xhat, y)
     cache = (xhat, inv_t, gamma)
     return y.astype(x.dtype, copy=False), mean, var, cache
 
@@ -487,20 +484,11 @@ def batchnorm2d_eval(
     x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, mean: np.ndarray, var: np.ndarray, eps: float, out=None
 ) -> np.ndarray:
     """gamma * (x - mean) / sqrt(var + eps) + beta with the given
-    statistics, in x's dtype: one output array (out, which may be x),
-    then scaled and shifted in place, over _in_parts' channel parts."""
+    statistics, in x's dtype: _normalize into one output array (out,
+    which may be x) that also holds xhat."""
     inv = (1.0 / np.sqrt(var.astype(np.float64) + eps)).astype(x.dtype)
-    mean = mean.astype(x.dtype)
     y = np.empty(x.shape, dtype=x.dtype) if out is None else out
-
-    def part(lo, hi):
-        ch = np.s_[None, lo:hi, None, None]
-        ys = np.subtract(x[:, lo:hi], mean[ch], out=y[:, lo:hi])
-        ys *= inv[ch]
-        ys *= gamma[ch]
-        ys += beta[ch]
-
-    _in_parts(x.shape[1], x.nbytes, part, _BN_MIN_PART)
+    _normalize(x, mean.astype(x.dtype), inv, gamma, beta, y, y)
     return y
 
 
@@ -565,10 +553,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return (e / e.sum(axis=1, keepdims=True)).astype(z.dtype)
 
 
-def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    return rng.random(shape) >= rate
-
-
 def _scaled_by_mask(a: np.ndarray, mask: np.ndarray, rate: float, out) -> np.ndarray:
     """(a * mask) * (1 / (1 - rate)), the second product in place."""
     y = np.multiply(a, mask, out=out)
@@ -583,7 +567,7 @@ def dropout(x: np.ndarray, rate: float, train: bool, rng: np.random.Generator, o
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x, None
-    mask = dropout_mask(x.shape, rate, rng)
+    mask = rng.random(x.shape) >= rate
     return _scaled_by_mask(x, mask, rate, out), mask
 
 
@@ -595,19 +579,6 @@ def dropout_backward(dy: np.ndarray, mask, rate: float, out=None) -> np.ndarray:
 
 def flatten(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[0], -1)
-
-
-def concat(blocks) -> np.ndarray:
-    return np.concatenate(blocks, axis=1)
-
-
-def split_widths(dy: np.ndarray, widths):
-    out = []
-    pos = 0
-    for w in widths:
-        out.append(dy[:, pos : pos + w])
-        pos += w
-    return out
 
 
 def softmax_cross_entropy(z: np.ndarray, labels: np.ndarray):

@@ -155,6 +155,8 @@ def read_class_names(path) -> list[str]:
                 idx = int(idx)
             except ValueError:
                 raise ContainerError(f"{path}: line {lineno} is not '<class id><TAB><name>'") from None
+            if not name or "/" in name:
+                raise ContainerError(f"{path}: line {lineno}: class name {name!r} is empty or holds '/'")
             if idx != len(names):
                 raise ContainerError(f"{path}: class ids not contiguous")
             names.append(name)

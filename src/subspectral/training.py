@@ -131,12 +131,8 @@ def train_model(
     every head is evaluated on the test set; each run keeps the state and
     test report of its best global-head epoch. The returned graph holds
     the best run's best state, and final_report is that epoch's report.
-    Training is bit-reproducible for a fixed seed at one BLAS thread; the
-    helper threads of nn.functional (conv slabs above COLS_BUDGET, float32
-    conv forward and dx slabs of at least SPLIT_FLOOR bytes of columns
-    within it, batch norm's channel parts and ReLU's and max-pool's sample
-    parts above SPLIT_FLOOR) keep the bits whichever thread runs a slab
-    or part.
+    Training is bit-reproducible for a fixed seed at one BLAS thread,
+    whatever nn.functional's helper threads run (its module docstring).
     """
     if train_x.shape[0] == 0 or test_x.shape[0] == 0:
         raise ValueError("both train and test splits must be non-empty")

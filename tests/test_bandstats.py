@@ -94,6 +94,18 @@ class TestPerBinClassify:
         for clip, row in zip(stack, preds):
             np.testing.assert_array_equal(row, per_bin_classify(clip, profiles))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["test features", "class profiles"])
+    def test_non_finite_value_is_rejected(self, rng, where, value):
+        profiles = ClassProfileSet(class_ids=list(range(3)), profiles=rng.standard_normal((3, F_BINS)))
+        stack = rng.standard_normal((4, 2, F_BINS, 9)).astype(np.float32)
+        if where == "test features":
+            stack[1, 1, 2, 5] = value
+        else:
+            profiles.profiles[1, 2] = value
+        with pytest.raises(ValueError, match=f"{where} hold a non-finite value"):
+            per_bin_classify(stack, profiles)
+
     @given(scale=st.floats(0.1, 10.0), shift=st.floats(-5.0, 5.0))
     @settings(max_examples=25, deadline=None)
     def test_invariant_under_positive_affine_transform(self, scale, shift):

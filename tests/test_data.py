@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import threading
 
 import numpy as np
@@ -128,6 +129,17 @@ class TestManifest:
         write_manifest(path, manifest)
         back = parse_manifest(path)
         assert back.entries == manifest.entries
+
+    @pytest.mark.parametrize("row", ["\tpark\n", "a.wav\t\n", "a.wav\tmetro/station\n", "a.wav\t/\n"])
+    def test_row_that_cannot_name_a_file_errors(self, tmp_path, row):
+        # a label names analyze's hist_<label>.tsv, so it must be a file name
+        path = tmp_path / "m.tsv"
+        path.write_text("b.wav\tpark\n" + row)
+        path_cell, label = row.rstrip("\n").split("\t")
+        with pytest.raises(ValueError, match=re.escape(f"manifest row {path_cell!r}, {label!r}")):
+            parse_manifest(path)
+        with pytest.raises(ValueError, match="without '/'"):
+            DatasetManifest(entries=[ManifestEntry(path_cell, label, "train")], class_names=[label])
 
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "m.tsv"

@@ -598,6 +598,25 @@ class TestBatchNorm:
         for a, b in zip(F.batchnorm2d_backward(dy, got[3]), reference_batchnorm2d_backward(dy, expected[3])):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("out", [False, True], ids=["new", "out"])
+    @pytest.mark.parametrize("floor", [0, float("inf")], ids=["split", "whole"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_with_the_batch_statistics_gives_the_train_bytes(self, monkeypatch, dtype, floor, out):
+        # train and eval share one normalize pass, so eval given the
+        # batch's own mean and variance must write train's y
+        monkeypatch.setattr(F, "SPLIT_FLOOR", floor)
+        started = _thread_starts(monkeypatch)
+        rng = np.random.default_rng(8)
+        x = (rng.standard_normal((5, 6, 7, 9)) * 3 + 1).astype(dtype)
+        x[:, 2] = np.maximum(x[:, 2], 0)  # a channel of post-ReLU zeros
+        gamma = rng.uniform(0.5, 1.5, 6).astype(dtype)
+        beta = rng.standard_normal(6).astype(dtype)
+        xt, xe = x.copy(), x.copy()
+        y, mean, var, _ = F.batchnorm2d_train(xt, gamma, beta, 1e-3, out=xt if out else None)
+        got = F.batchnorm2d_eval(xe, gamma, beta, mean, var, 1e-3, out=xe if out else None)
+        assert got.dtype == y.dtype == dtype and got.tobytes() == y.tobytes()
+        assert len(started) == (3 if floor == 0 else 0)  # moments, train's and eval's normalize
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_train_and_backward_peak_at_two_full_size_arrays(self, dtype):
         rng = np.random.default_rng(7)

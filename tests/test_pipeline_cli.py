@@ -550,6 +550,42 @@ class TestCli:
         assert capsys.readouterr().err == message
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "analyze"])
+    def test_non_finite_feature_exits_1(self, cli_dirs, tmp_path, capsys, command, value):
+        _, feat, run = cli_dirs
+        bad = tmp_path / "feat"
+        bad.mkdir()
+        for name in ("train.ssnf", "normalizer.bin", "labels.tsv"):
+            (bad / name).write_bytes((feat / name).read_bytes())
+        x, y = read_features(feat / "test.ssnf")
+        x[1, 0, 3, 4] = value
+        write_features(bad / "test.ssnf", x, y)
+        ckpt, out = str(run / "model.ssnw"), tmp_path / "out"
+        argv = {
+            "evaluate": ["evaluate", "--checkpoint", ckpt, "--features", str(bad), "--out", str(out)],
+            "predict": ["predict", "--checkpoint", ckpt, "--features", str(bad / "test.ssnf"), "--out", str(out)],
+            "analyze": ["analyze", "--features", str(bad), "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        source = "test features hold" if command == "analyze" else f"{bad / 'test.ssnf'}: holds"
+        assert capsys.readouterr().err == f"error: {source} a non-finite value (NaN or inf)\n"
+        assert not out.exists()
+
+    def test_label_that_cannot_name_a_file_exits_1_and_writes_nothing(self, cli_dirs, tmp_path, capsys):
+        # analyze writes hist_<label>.tsv, so a '/' in a label is refused
+        # when labels.tsv is read, before any file is written
+        _, feat, _ = cli_dirs
+        bad = tmp_path / "feat"
+        bad.mkdir()
+        for name in ("train.ssnf", "test.ssnf", "normalizer.bin"):
+            (bad / name).write_bytes((feat / name).read_bytes())
+        (bad / "labels.tsv").write_text("0\tbus\n1\tmetro/station\n2\tpark\n")
+        out = tmp_path / "an"
+        assert main(["analyze", "--features", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad / 'labels.tsv'}: line 2: class name 'metro/station' is empty or holds '/'\n"
+        assert not out.exists()
+
     def test_every_written_table_is_rectangular_with_six_digit_numbers(self, cli_dirs, tmp_path):
         _, feat, run = cli_dirs
         ckpt = str(run / "model.ssnw")

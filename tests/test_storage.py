@@ -174,6 +174,14 @@ class TestClassNames:
             read_class_names(path)
 
 
+    @pytest.mark.parametrize("name", ["", "metro/station"])
+    def test_name_that_cannot_name_a_file_raises_container_error(self, tmp_path, name):
+        path = tmp_path / "labels.tsv"
+        path.write_text(f"0\tbus\n1\t{name}\n")
+        with pytest.raises(ContainerError, match=re.escape(f"{path}: line 2: class name {name!r}")):
+            read_class_names(path)
+
+
 class TestTable:
     def test_floats_take_six_significant_digits(self):
         values = [1 / 3, 2.5e-7, 123456789.0, 0.0, float("nan"), float("inf")]
