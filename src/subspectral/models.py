@@ -381,15 +381,16 @@ def build_model(desc: dict, seed: int | None = 0, dtype=np.float32) -> ModelGrap
     return ModelGraph(desc, bands, trunks, sub_heads, Sequential(layers))
 
 
-def load_model(path, dtype=np.float32) -> tuple[ModelGraph, dict]:
+def load_model(path) -> tuple[ModelGraph, dict]:
     """Rebuild a graph from a checkpoint and load its tensors. Returns
-    (graph, meta). The graph is built with its weights unset: load_state
+    (graph, meta). The graph is built in float32, the one dtype
+    checkpoints hold, with its weights unset: load_state
     raises unless the file holds every tensor, each with its shape. A
     batch norm whose batches_seen is not positive has no running
     statistics for the eval forward to read, so it is rejected here."""
     desc, tensors, meta = storage.read_checkpoint(path)
     try:
-        graph = build_model(desc, seed=None, dtype=dtype)
+        graph = build_model(desc, seed=None)
     except KeyError as exc:
         raise storage.ContainerError(f"{path}: model description has no {exc} entry") from exc
     except (TypeError, ValueError) as exc:

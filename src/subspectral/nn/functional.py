@@ -11,7 +11,14 @@ The elementwise kernels (batch norm, ReLU, dropout) take numpy's out=:
 the result is written into out, which may be the kernel's own input x or
 dy; without it they return a new array and leave their inputs as they
 are. Every float operation runs in the same order either way, so out=
-changes no bits.
+changes no bits. conv2d_same_backward's overwrite_dy likewise lets it
+write over dy, there with dy's values permuted into the channel-major
+layout its GEMMs read.
+
+Scratch: where a kernel's working arrays would add a full-size array
+beside its inputs and outputs at 10 s clips, it works in pieces. Conv
+columns stay within COLS_BUDGET, and max-pool's scan runs over bands of
+window rows whose scratch stays within SPLIT_FLOOR.
 
 Threads: a call splits into at most WORKERS near-equal contiguous parts
 of one axis, and only when the smallest part touches at least
@@ -64,7 +71,11 @@ WORKERS = 2
 # GEMM does more work per byte than those elementwise calls: desk-40's
 # batch-16 conv2 has 5.0 MB of columns a slab, and with its convs on two
 # slabs desk-40's eval forward went 72 -> 49 ms (one traced perfbench
-# pair, BENCH_conv_slabs.json).
+# pair, BENCH_conv_slabs.json). Its second use is the size of
+# maxpool2d's bands: the scan scratch of one band, over all samples, stays
+# within it (at least one row of windows), so the 10 s first-block pool
+# runs eight bands of 2.24 MB where one pass held 17.9 MB, and every 1 s
+# band-split train pool and the 10 s second-block pool run one band.
 SPLIT_FLOOR = 2 * 2**20
 
 
@@ -235,7 +246,29 @@ def conv2d_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def conv2d_same_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, need_dx: bool = True):
+def _transpose_blocks(a: np.ndarray, rows: int, cols: int) -> None:
+    """Permute the C-contiguous a, read as a (rows, cols) grid of equal
+    blocks, into (cols, rows) order in place: one cycle of the
+    permutation at a time, through one block of scratch."""
+    blocks = a.reshape(rows * cols, -1)
+    spare = np.empty_like(blocks[0])
+    moved = bytearray(rows * cols)
+    for start in range(rows * cols):
+        if moved[start]:
+            continue
+        np.copyto(spare, blocks[start])
+        dst = start
+        while True:
+            moved[dst] = 1
+            src = (dst % rows) * cols + dst // rows  # the block that belongs at dst
+            if src == start:
+                break
+            blocks[dst] = blocks[src]
+            dst = src
+        blocks[dst] = spare
+
+
+def conv2d_same_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, need_dx: bool = True, overwrite_dy: bool = False):
     """Gradients (dx, dw, db) for conv2d_same.
 
     With dy channel-major as dyr (O, N*H*W) and cols rebuilt from x,
@@ -251,11 +284,25 @@ def conv2d_same_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, need_dx: 
     dx splits as the forward does. These splits are proven
     byte-identical to one GEMM at the same shapes as the forward's.
     need_dx=False skips dx (at a first layer, where nobody reads it).
+
+    dyr is a channel-major copy of dy, except where overwrite_dy=True
+    allows writing over a C-contiguous dy and the columns exceed
+    COLS_BUDGET: there the calling thread permutes dy's (N, O) blocks of
+    H*W into (O, N) order in place (_transpose_blocks) before any GEMM
+    starts, dyr is dy's own memory, and dy is left holding it. A 10 s
+    clip's conv1 then holds one 51 MB gradient, not two. Within the
+    budget dy is copied as before: the Python loop over many small
+    blocks would slow the 1 s steps more than the copy does.
     """
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
     hw = h * wd
-    dyr = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(o, n * hw)
+    cols_bytes = c * kh * kw * n * hw * x.itemsize
+    if overwrite_dy and dy.flags.c_contiguous and cols_bytes > COLS_BUDGET:
+        _transpose_blocks(dy, n, o)
+        dyr = dy.reshape(o, n * hw)
+    else:
+        dyr = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(o, n * hw)
     db = dyr.sum(axis=1, dtype=np.float64).astype(w.dtype)
     dw = np.empty(w.shape, dtype=w.dtype)
     padded = np.empty(_padded_shape(x.shape, kh, kw), dtype=x.dtype)
@@ -270,7 +317,7 @@ def conv2d_same_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, need_dx: 
         k = c * (hi - lo) * kw
         return ((k, n * hw), x.dtype), ((k, o), np.result_type(x, dy))
 
-    _slabwise(kh, c * kw * n * hw * x.itemsize, rows, row_buffers)
+    _slabwise(kh, cols_bytes // kh, rows, row_buffers)
     del padded
     if not need_dx:
         return None, dw, db
@@ -293,7 +340,7 @@ def conv2d_same_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray, need_dx: 
     def slab_buffers(lo, hi):
         return (((c * kh * kw, (hi - lo) * hw), dcols_dtype),)
 
-    _slabwise(n, c * kh * kw * hw * x.itemsize, slab, slab_buffers, split=dcols_dtype == np.float32)
+    _slabwise(n, cols_bytes // n, slab, slab_buffers, split=dcols_dtype == np.float32)
     return dx, dw, db
 
 
@@ -322,42 +369,57 @@ def maxpool2d(x: np.ndarray, pool_h: int, pool_w: int):
     stops on the non-finite loss before any backward).
 
     The scan runs over _in_parts' sample parts, each call touching one
-    strided column slice of its samples (x.nbytes / pool_w in all).
+    strided column slice of its samples (x.nbytes / pool_w in all), and
+    within a part over bands of whole rows of windows: as many rows as
+    keep the scan scratch (m, jdx, found, cand) of all samples within
+    SPLIT_FLOOR, and at least one. The calling thread allocates that
+    scratch once, for one band, and each part reuses its sample slice of
+    it band after band. Each window's comparisons run in the same order
+    whatever the band, so the bits do not depend on it.
     """
+    n, c = x.shape[:2]
     ho, wo = _pooled_size(x.shape, pool_h, pool_w)
-    rows, cols = ho * pool_h, wo * pool_w
+    cols = wo * pool_w
     itype = np.min_scalar_type(pool_h * pool_w - 1)
-    # columns: m is each row's window maximum, jdx its column offset
-    shape = x.shape[:2] + (rows, wo)
+    # scratch bytes (m, jdx, found, cand) of one row of windows
+    window_row_bytes = n * c * pool_h * wo * (x.itemsize + 2 * itype.itemsize + 1)
+    band = min(ho, max(1, SPLIT_FLOOR // max(1, window_row_bytes)))
+    shape = (n, c, band * pool_h, wo)
     m = np.empty(shape, dtype=x.dtype)
-    jdx = np.zeros(shape, dtype=itype)
+    jdx = np.empty(shape, dtype=itype)
     found = np.empty(shape, dtype=bool)
     cand = np.empty(shape, dtype=itype)
-    y = np.empty(x.shape[:2] + (ho, wo), dtype=x.dtype)
+    y = np.empty((n, c, ho, wo), dtype=x.dtype)
     idx = np.empty(y.shape, dtype=itype)
 
     def part(lo, hi):
-        xs, ms, js, fs, cs = x[lo:hi], m[lo:hi], jdx[lo:hi], found[lo:hi], cand[lo:hi]
-        np.copyto(ms, xs[:, :, :rows, 0:cols:pool_w])
-        for j in range(1, pool_w):
-            xj = xs[:, :, :rows, j:cols:pool_w]
-            np.greater(xj, ms, out=fs)
-            np.maximum(xj, ms, out=ms)
-            np.maximum(js, np.multiply(fs, itype.type(j), out=cs), out=js)
-        # rows: the same scan over each window's row maxima
-        ys, idxs = y[lo:hi], idx[lo:hi]
-        np.copyto(ys, ms[:, :, 0:rows:pool_h])
-        np.copyto(idxs, js[:, :, 0:rows:pool_h])
-        fs, cs = fs[:, :, :ho], cs[:, :, :ho]
-        for i in range(1, pool_h):
-            mi = ms[:, :, i:rows:pool_h]
-            np.greater(mi, ys, out=fs)
-            np.maximum(mi, ys, out=ys)
-            np.add(js[:, :, i:rows:pool_h], itype.type(i * pool_w), out=cs)
-            cs *= fs
-            np.maximum(idxs, cs, out=idxs)
+        for top in range(0, ho, band):
+            bottom = min(top + band, ho)
+            rows = (bottom - top) * pool_h
+            xs = x[lo:hi, :, top * pool_h : bottom * pool_h]
+            # columns: ms is each row's window maximum, js its column offset
+            ms, js, fs, cs = (a[lo:hi, :, :rows] for a in (m, jdx, found, cand))
+            np.copyto(ms, xs[:, :, :, 0:cols:pool_w])
+            js.fill(0)
+            for j in range(1, pool_w):
+                xj = xs[:, :, :, j:cols:pool_w]
+                np.greater(xj, ms, out=fs)
+                np.maximum(xj, ms, out=ms)
+                np.maximum(js, np.multiply(fs, itype.type(j), out=cs), out=js)
+            # rows: the same scan over each window's row maxima
+            ys, idxs = y[lo:hi, :, top:bottom], idx[lo:hi, :, top:bottom]
+            np.copyto(ys, ms[:, :, 0:rows:pool_h])
+            np.copyto(idxs, js[:, :, 0:rows:pool_h])
+            fs, cs = fs[:, :, : bottom - top], cs[:, :, : bottom - top]
+            for i in range(1, pool_h):
+                mi = ms[:, :, i:rows:pool_h]
+                np.greater(mi, ys, out=fs)
+                np.maximum(mi, ys, out=ys)
+                np.add(js[:, :, i:rows:pool_h], itype.type(i * pool_w), out=cs)
+                cs *= fs
+                np.maximum(idxs, cs, out=idxs)
 
-    _in_parts(x.shape[0], x.nbytes // pool_w, part)
+    _in_parts(n, x.nbytes // pool_w, part)
     return y, idx
 
 

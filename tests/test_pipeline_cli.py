@@ -586,6 +586,31 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {bad / 'labels.tsv'}: line 2: class name 'metro/station' is empty or holds '/'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["a\0b", "x" * 300], ids=["nul", "300-chars"])
+    def test_label_the_file_system_refuses_exits_1_and_leaves_no_out(self, cli_dirs, tmp_path, capsys, name):
+        # hist_<label>.tsv is written after histograms.tsv and the earlier
+        # classes' histograms
+        _, feat, _ = cli_dirs
+        bad = tmp_path / "feat"
+        bad.mkdir()
+        for file in ("train.ssnf", "test.ssnf", "normalizer.bin"):
+            (bad / file).write_bytes((feat / file).read_bytes())
+        (bad / "labels.tsv").write_text(f"0\tbus\n1\t{name}\n2\tpark\n")
+        out = tmp_path / "an"
+        assert main(["analyze", "--features", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["feat"]
+
+    def test_analyze_reruns_into_its_out(self, cli_dirs, tmp_path):
+        _, feat, _ = cli_dirs
+        out = tmp_path / "an"
+        assert main(["analyze", "--features", str(feat), "--out", str(out)]) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["analyze", "--features", str(feat), "--out", str(out)]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["an"]
+
     def test_every_written_table_is_rectangular_with_six_digit_numbers(self, cli_dirs, tmp_path):
         _, feat, run = cli_dirs
         ckpt = str(run / "model.ssnw")
